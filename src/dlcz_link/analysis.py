@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import OptimizeWarning, brentq, curve_fit
@@ -196,9 +196,15 @@ def fit_visibility_dephasing(
 
     ``vg`` is the noise-free visibility at the sample times. The implied
     field width is sigma_b = 1/(2 pi mu' tau_0) (zero for the tau_0 = inf
-    sentinel); a clearly negative fitted rate raises, since the model has
+    sentinel), so ``mu_prime``, the sensitivity of the dephasing channel,
+    must be > 0; a clearly negative fitted rate raises, since the model has
     no growing branch.
     """
+    if not mu_prime > 0.0:
+        raise ValueError(
+            f"mu_prime must be > 0 to infer sigma_b from tau_0, got {mu_prime}: "
+            "a field-insensitive channel does not dephase"
+        )
     if len(series) < 3:
         raise ValueError("need at least 3 points to fit the dephasing")
     vg_vals = np.asarray(vg(series.times) if callable(vg) else vg, dtype=float)
@@ -257,7 +263,7 @@ def entanglement_lifetime(cfg: LinkConfig, *, xtol: float = 1e-4, t_max: float =
     def inner(t: float) -> float:
         pt = model.link_curves(cfg, t)
         p_c = float(pt.gamma) * cfg.node_l.eta
-        return float(pt.visibility) - 2.0 * math.sqrt((1.0 - p_c) / float(pt.g))
+        return float(model.concurrence_margin(p_c, pt.visibility, pt.g))
 
     return _first_zero(inner, xtol, t_max)
 
@@ -277,7 +283,7 @@ def mode_pair_lifetime(pair: ModePair, pairing: str, *, xtol: float = 1e-7, t_ma
             g = float(pt.g_mfs)
             p_c = pair.mfs.eta * float(pt.gamma_mfs)
             v = float(pt.v_matched)
-        return v - 2.0 * math.sqrt((1.0 - p_c) / g)
+        return float(model.concurrence_margin(p_c, v, g))
 
     return _first_zero(inner, xtol, t_max)
 
@@ -311,17 +317,7 @@ def make_table1(sigma_b_list: Sequence[float], cfg: LinkConfig, t_g: float) -> l
     rows = []
     for sigma_b in sigma_b_list:
         noise = NoiseField(sigma_b=sigma_b, topology=cfg.noise.topology)
-        row_cfg = LinkConfig(
-            node_l=cfg.node_l,
-            node_r=cfg.node_r,
-            noise=noise,
-            mode_l=cfg.mode_l,
-            mode_r=cfg.mode_r,
-            zeta=cfg.zeta,
-            xi_prime=cfg.xi_prime,
-            residual_phase_jitter=cfg.residual_phase_jitter,
-        )
-        t_s = entanglement_lifetime(row_cfg)
+        t_s = entanglement_lifetime(replace(cfg, noise=noise))
         rows.append(
             Table1Row(
                 sigma_b=sigma_b,

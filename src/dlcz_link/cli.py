@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from collections.abc import Sequence
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from .config import (
     load_config,
     sweep_times,
 )
-from .params import LinkConfig, NoiseField
+from .params import NoiseField
 
 FIGURE_IDS = ("4", "5", "6", "7", "8", "S1")
 
@@ -172,18 +173,8 @@ def cmd_figure(cfg: RunConfig, figure_id: str):
         curves = []
         for sigma_b in cfg.sigma_b_list:
             noise = NoiseField(sigma_b=sigma_b, topology=cfg.link.noise.topology)
-            link = LinkConfig(
-                node_l=cfg.link.node_l,
-                node_r=cfg.link.node_r,
-                noise=noise,
-                mode_l=cfg.link.mode_l,
-                mode_r=cfg.link.mode_r,
-                zeta=cfg.link.zeta,
-                xi_prime=cfg.link.xi_prime,
-                residual_phase_jitter=cfg.link.residual_phase_jitter,
-            )
             columns.append(_sigma_column_label(noise.sigma_delta))
-            curves.append(model.link_curves(link, times).concurrence)
+            curves.append(model.link_curves(replace(cfg.link, noise=noise), times).concurrence)
         rows = [
             [float(t)] + [float(c[i]) for c in curves] for i, t in enumerate(times)
         ]
@@ -256,7 +247,7 @@ def cmd_fit(cfg: RunConfig):
     v_g = model.visibility(g_bar, t_vis, math.inf, zeta=pair.zeta)
     noisy_v = pt.v_mixed * (1.0 + 0.02 * rng.standard_normal(t_vis.size))
     res = analysis.fit_visibility_dephasing(
-        DecaySeries(t_vis, noisy_v), v_g, pair.mode_mfs.mu_prime - pair.mode_mfi.mu_prime
+        DecaySeries(t_vis, noisy_v), v_g, abs(pair.mode_mfs.mu_prime - pair.mode_mfi.mu_prime)
     )
     for name, true in (
         ("xi_prime", pair.xi_prime),

@@ -219,6 +219,15 @@ def concurrence_from_probs(
     return max(0.0, (v * (p01 + p10) - 2.0 * math.sqrt(p00 * p11)) / total)
 
 
+def concurrence_margin(p_c: ArrayLike, v: ArrayLike, g: ArrayLike) -> ArrayLike:
+    """Margin V - 2 sqrt((1 - p_c)/g) of the coherence over the two-photon term.
+
+    The concurrence is p_c times this margin where it is positive; its first
+    zero in t is the entanglement lifetime.
+    """
+    return v - 2.0 * np.sqrt((1.0 - p_c) / g)
+
+
 def concurrence_param(p_c: ArrayLike, v: ArrayLike, g: ArrayLike) -> ArrayLike:
     """Parametric concurrence C = max(0, p_c (V - 2 sqrt((1 - p_c)/g))).
 
@@ -231,8 +240,7 @@ def concurrence_param(p_c: ArrayLike, v: ArrayLike, g: ArrayLike) -> ArrayLike:
         raise ValueError("p_c must be in [0, 1]")
     if np.any(np.asarray(g) < 1.0):
         raise ValueError("cross-correlation g must be >= 1")
-    inner = v - 2.0 * np.sqrt((1.0 - p_c) / g)
-    return np.maximum(0.0, p_c * inner)
+    return np.maximum(0.0, p_c * concurrence_margin(p_c, v, g))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ approximated by large floats.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -114,14 +113,12 @@ DecayModel = GaussianAmplitude | ExponentialEfficiency | FromMotion
 class SpinWaveMode:
     """Magnetic character of a stored coherence.
 
-    ``mu_prime`` is the stochastic-phase sensitivity in Hz/G; ``omega_0``
-    the deterministic Larmor angular frequency under the bias field (kept
-    for bookkeeping: the deterministic beat is folded into the scanned
-    fringe phase, only the stochastic phase dephases).
+    ``mu_prime`` is the stochastic-phase sensitivity in Hz/G. The
+    deterministic Larmor beat under the bias field is folded into the
+    scanned fringe phase; only the stochastic phase dephases.
     """
 
     mu_prime: float  # Hz/G
-    omega_0: float = 0.0  # rad/s
     label: ModeLabel = ModeLabel.MFS
 
     def __post_init__(self) -> None:
@@ -133,9 +130,9 @@ class SpinWaveMode:
         return cls(mu_prime=mu_prime, label=ModeLabel.MFI)
 
     @classmethod
-    def mfs(cls, mu_prime: float = BOHR_MAGNETON_HZ_PER_G, bias_field: float = 0.0) -> "SpinWaveMode":
+    def mfs(cls, mu_prime: float = BOHR_MAGNETON_HZ_PER_G) -> "SpinWaveMode":
         """Field-sensitive mode, mu' = mu_B/h per unit field by default."""
-        return cls(mu_prime=mu_prime, omega_0=2.0 * math.pi * mu_prime * bias_field, label=ModeLabel.MFS)
+        return cls(mu_prime=mu_prime, label=ModeLabel.MFS)
 
 
 @dataclass(frozen=True)
@@ -183,7 +180,8 @@ class EnsembleParams:
             warnings.warn(
                 f"chi = {self.chi} is outside the chi << 1 regime the linear-order "
                 "probability chain assumes",
-                stacklevel=2,
+                # past __post_init__ and the generated __init__ to the caller
+                stacklevel=3,
             )
 
 

@@ -11,11 +11,11 @@ Lorentzian field samples), so the two layers cross-check each other.
 Randomness is counter-based: every trial owns a fixed 24-word block of a
 Philox stream addressed by ``(seed, stream, trial_index)``. Results are
 therefore bit-identical for a given seed no matter how trials are chunked,
-scheduled or parallelized; accumulation is plain integer addition and is
-order-independent.
+scheduled or parallelized (``chunk_size=1`` runs one trial at a time);
+accumulation is plain integer addition and is order-independent.
 
 Three measurement modes mirror the three detector configurations of the
-experiment:
+experiment, one ``simulate_link_*`` function each:
 
 * fringe mode - both Stokes and anti-Stokes outputs mixed on beam
   splitters; conditional coincidences versus the scanned phase give V;
@@ -23,6 +23,10 @@ experiment:
   conditional two-channel tallies give p_ij;
 * correlation mode - nothing mixed; per-channel singles and coincidences
   give the cross-correlation g.
+
+Each takes either a two-node :class:`~dlcz_link.params.LinkConfig` or a
+single-ensemble :class:`~dlcz_link.params.ModePair` (two modes of one
+cloud, one shared field sample); both reduce to the same two-arm protocol.
 
 Only the heralded single-excitation component interferes coherently;
 multi-pair components, retrieval noise and backgrounds pick beam-splitter
@@ -34,18 +38,17 @@ chi (1 - gamma(t)) xi_se, uncorrelated with the herald.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
 
 from . import model
-from .params import EnsembleParams, LinkConfig, ModePair, NoiseField, SpinWaveMode, Topology
+from .params import EnsembleParams, LinkConfig, ModePair, SpinWaveMode, Topology
 
 __all__ = [
     "WORDS_PER_TRIAL",
-    "TrialRandomness",
-    "TrialOutcome",
     "ThetaBin",
     "PairCounts",
     "ChannelTallies",
@@ -55,21 +58,13 @@ __all__ = [
     "CountsStatistics",
     "trial_uniforms",
     "lorentzian_from_uniform",
-    "sample_lorentzian",
-    "sample_link_phases",
-    "run_link_trial",
-    "run_single_ensemble_trial",
     "simulate_link_fringe",
     "simulate_link_pairs",
     "simulate_link_correlation",
-    "simulate_mode_pair_fringe",
-    "simulate_mode_pair_pairs",
-    "simulate_mode_pair_correlation",
     "merge_counts",
     "estimate_visibility",
     "estimate_cross_correlation",
     "estimate_statistics",
-    "mc_phase_average",
     "default_thetas",
 ]
 
@@ -95,11 +90,10 @@ _COL_BG_A = 19
 _COL_BG_B = 20
 _COL_JITTER = 21
 
-# stream ids: distinct Philox keys per measurement purpose
+# stream ids: distinct Philox keys per measurement mode
 STREAM_FRINGE = 0
 STREAM_PAIRS = 1
 STREAM_CORRELATION = 2
-STREAM_PHASE = 3
 
 _MASK64 = (1 << 64) - 1
 _DEFAULT_CHUNK = 1 << 18
@@ -122,35 +116,12 @@ def trial_uniforms(seed: int, start: int, count: int, stream: int = STREAM_FRING
     return gen.random(count * WORDS_PER_TRIAL).reshape(count, WORDS_PER_TRIAL)
 
 
-@dataclass(frozen=True)
-class TrialRandomness:
-    """Address of one trial's random stream; results depend only on this."""
-
-    seed: int
-    trial_index: int
-    stream: int = STREAM_FRINGE
-
-    def __post_init__(self) -> None:
-        if self.trial_index < 0:
-            raise ValueError("trial_index must be >= 0")
-
-    def uniforms(self) -> np.ndarray:
-        return trial_uniforms(self.seed, self.trial_index, 1, self.stream)[0]
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """What one fringe-mode trial produced.
-
-    ``herald_port`` is "s1"/"s2" or None; ``as_clicks`` are the detector
-    flags (D_aS1, D_aS2), reported only for heralded trials; ``excitations``
-    the sampled pair counts per node (0..2 each, thermal truncation).
-    """
-
-    heralded: bool
-    herald_port: str | None
-    as_clicks: tuple[bool, bool]
-    excitations: tuple[int, int]
+def _chunks(seed: int, stream: int, total: int, chunk_size: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, uniform block) for consecutive chunks covering trials [0, total)."""
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
+    for start in range(0, total, chunk_size):
+        yield start, trial_uniforms(seed, start, min(chunk_size, total - start), stream)
 
 
 @dataclass(frozen=True)
@@ -195,35 +166,30 @@ class _Protocol:
     jitter_rms: float  # rad
 
 
-def _link_protocol(cfg: LinkConfig, t: float) -> _Protocol:
+def _protocol(setup: LinkConfig | ModePair, t: float) -> _Protocol:
+    """Two-arm protocol of a link (arms = nodes) or a mode pair (arms = modes)."""
     if t < 0.0:
         raise ValueError("storage time t must be >= 0")
-    contrast = cfg.zeta * cfg.xi_prime
+    if isinstance(setup, ModePair):
+        mixed = setup.mode_mfi.label != setup.mode_mfs.label
+        # one ensemble: both modes always see the same field sample
+        return _Protocol(
+            arm_a=_arm(setup.mfi, setup.mode_mfi, t),
+            arm_b=_arm(setup.mfs, setup.mode_mfs, t),
+            sigma_b=setup.noise.sigma_b,
+            shared_field=True,
+            time=t,
+            contrast=setup.zeta * (setup.xi_prime if mixed else 1.0),
+            jitter_rms=0.0,
+        )
     return _Protocol(
-        arm_a=_arm(cfg.node_l, cfg.mode_l, t),
-        arm_b=_arm(cfg.node_r, cfg.mode_r, t),
-        sigma_b=cfg.noise.sigma_b,
-        shared_field=cfg.noise.topology is Topology.SHARED,
+        arm_a=_arm(setup.node_l, setup.mode_l, t),
+        arm_b=_arm(setup.node_r, setup.mode_r, t),
+        sigma_b=setup.noise.sigma_b,
+        shared_field=setup.noise.topology is Topology.SHARED,
         time=t,
-        contrast=contrast,
-        jitter_rms=cfg.residual_phase_jitter,
-    )
-
-
-def _mode_pair_protocol(pair: ModePair, t: float) -> _Protocol:
-    if t < 0.0:
-        raise ValueError("storage time t must be >= 0")
-    mixed = pair.mode_mfi.label != pair.mode_mfs.label
-    contrast = pair.zeta * (pair.xi_prime if mixed else 1.0)
-    # one ensemble: both modes always see the same field sample
-    return _Protocol(
-        arm_a=_arm(pair.mfi, pair.mode_mfi, t),
-        arm_b=_arm(pair.mfs, pair.mode_mfs, t),
-        sigma_b=pair.noise.sigma_b,
-        shared_field=True,
-        time=t,
-        contrast=contrast,
-        jitter_rms=0.0,
+        contrast=setup.zeta * setup.xi_prime,
+        jitter_rms=setup.residual_phase_jitter,
     )
 
 
@@ -232,7 +198,11 @@ def _mode_pair_protocol(pair: ModePair, t: float) -> _Protocol:
 
 
 def lorentzian_from_uniform(sigma: float, u):
-    """Quantile transform: sigma * tan(pi (u - 1/2)) for u uniform in (0, 1)."""
+    """Quantile transform: sigma * tan(pi (u - 1/2)) for u uniform in (0, 1).
+
+    Samples are never truncated: downstream use is through bounded
+    trigonometric functions, so the heavy tails are harmless.
+    """
     if sigma < 0.0:
         raise ValueError("sigma must be >= 0")
     if sigma == 0.0:
@@ -271,15 +241,8 @@ def _field_samples(u: np.ndarray, proto: _Protocol):
     return db_a, lorentzian_from_uniform(proto.sigma_b, u[:, _COL_FIELD_B])
 
 
-def _noise_port_clicks(u: np.ndarray, col: int, emit_prob: float, eta: float):
-    """Incoherent photon into the mixed output: (aS1 click, aS2 click)."""
-    p_click = emit_prob * eta
-    uu = u[:, col]
-    return uu < 0.5 * p_click, (uu >= 0.5 * p_click) & (uu < p_click)
-
-
 def _fringe_batch(proto: _Protocol, theta: np.ndarray, u: np.ndarray):
-    """Interference-mode trials; returns herald flags and mixed-port clicks."""
+    """Interference-mode trials; returns the Stokes port flags and D_aS1 clicks."""
     a, b = proto.arm_a, proto.arm_b
     if a.eta != b.eta:
         raise ValueError(
@@ -313,10 +276,7 @@ def _fringe_batch(proto: _Protocol, theta: np.ndarray, u: np.ndarray):
     base = w_a + w_b
     cross = 2.0 * proto.contrast * math.sqrt(w_a * w_b)
     p1 = eta * (base + sign * cross * np.cos(phase)) / (2.0 * w_sum)
-    p2 = eta * (base - sign * cross * np.cos(phase)) / (2.0 * w_sum)
-    u_coh = u[:, _COL_COHERENT]
-    click1 = coherent & (u_coh < p1)
-    click2 = coherent & (u_coh >= p1) & (u_coh < p1 + p2)
+    click1 = coherent & (u[:, _COL_COHERENT] < p1)
 
     # every other retrieved photon picks a port at random
     for arm, n, rcols, pcols in (
@@ -325,18 +285,18 @@ def _fringe_batch(proto: _Protocol, theta: np.ndarray, u: np.ndarray):
     ):
         for k in range(2):
             retrieved = incoherent & (n > k) & (u[:, rcols[k]] < arm.gamma)
-            up = u[:, pcols[k]]
-            click1 |= retrieved & (up < 0.5 * eta)
-            click2 |= retrieved & (up >= 0.5 * eta) & (up < eta)
+            click1 |= retrieved & (u[:, pcols[k]] < 0.5 * eta)
 
     # additive noise channels (retrieval noise, background), phase-incoherent
-    for col_se, col_bg, arm in ((_COL_SE_A, _COL_BG_A, a), (_COL_SE_B, _COL_BG_B, b)):
-        se1, se2 = _noise_port_clicks(u, col_se, arm.se_noise, eta)
-        bg1, bg2 = _noise_port_clicks(u, col_bg, arm.z_noise, eta)
-        click1 |= se1 | bg1
-        click2 |= se2 | bg2
+    for col, emit_prob in (
+        (_COL_SE_A, a.se_noise),
+        (_COL_BG_A, a.z_noise),
+        (_COL_SE_B, b.se_noise),
+        (_COL_BG_B, b.z_noise),
+    ):
+        click1 |= u[:, col] < 0.5 * (emit_prob * eta)
 
-    return s1, s2, click1, click2, n_a, n_b
+    return s1, s2, click1
 
 
 def _channel_clicks(proto: _Protocol, u: np.ndarray):
@@ -384,94 +344,6 @@ def _correlation_batch(proto: _Protocol, u: np.ndarray):
             s_click |= (n > k) & (u[:, col] < arm.eta)
         out.append((s_click, as_click))
     return out
-
-
-# ---------------------------------------------------------------------------
-# single-trial operations (batch kernel at batch size one)
-
-
-def run_link_trial(cfg: LinkConfig, t: float, theta: float, r: TrialRandomness) -> TrialOutcome:
-    """One write/herald/read cycle of the two-node link at phase theta.
-
-    Bit-identical to the corresponding row of any batched fringe run with
-    the same seed: the trial consumes exactly its own uniform block.
-    """
-    proto = _link_protocol(cfg, t)
-    return _single_trial(proto, theta, r)
-
-
-def run_single_ensemble_trial(
-    modes: tuple[SpinWaveMode, SpinWaveMode],
-    p: EnsembleParams | tuple[EnsembleParams, EnsembleParams],
-    noise: NoiseField,
-    t: float,
-    theta: float,
-    r: TrialRandomness,
-    zeta: float = 1.0,
-    xi_prime: float = 1.0,
-) -> TrialOutcome:
-    """One trial of the single-ensemble protocol (two modes, one field sample).
-
-    ``p`` may be a single parameter set shared by both modes or a pair
-    (per-mode retrieval and background values). ``xi_prime`` is applied to
-    the fringe contrast only when the two modes differ in label.
-    """
-    params = p if isinstance(p, tuple) else (p, p)
-    pair = ModePair(
-        mfi=params[0],
-        mfs=params[1],
-        mode_mfi=modes[0],
-        mode_mfs=modes[1],
-        noise=noise,
-        zeta=zeta,
-        xi_prime=xi_prime,
-    )
-    proto = _mode_pair_protocol(pair, t)
-    return _single_trial(proto, theta, r)
-
-
-def _single_trial(proto: _Protocol, theta: float, r: TrialRandomness) -> TrialOutcome:
-    u = trial_uniforms(r.seed, r.trial_index, 1, r.stream)
-    s1, s2, c1, c2, n_a, n_b = _fringe_batch(proto, np.asarray([float(theta)]), u)
-    port = "s1" if s1[0] else ("s2" if s2[0] else None)
-    heralded_any = bool(s1[0] or s2[0])
-    return TrialOutcome(
-        heralded=bool(s1[0]),
-        herald_port=port,
-        as_clicks=(bool(c1[0]) and heralded_any, bool(c2[0]) and heralded_any),
-        excitations=(int(n_a[0]), int(n_b[0])),
-    )
-
-
-def sample_lorentzian(sigma: float, r: TrialRandomness) -> float:
-    """One Lorentzian field offset sigma * tan(pi (u - 1/2)); 0 when sigma = 0.
-
-    Samples are never truncated: downstream use is through bounded
-    trigonometric functions, so the heavy tails are harmless.
-    """
-    if sigma < 0.0:
-        raise ValueError("sigma must be >= 0")
-    if sigma == 0.0:
-        return 0.0
-    return float(lorentzian_from_uniform(sigma, float(r.uniforms()[_COL_FIELD_A])))
-
-
-def sample_link_phases(cfg: LinkConfig, t: float, r: TrialRandomness) -> tuple[float, float]:
-    """Per-trial stochastic phases (delta_phi_l, delta_phi_r) = 2 pi mu' dB t.
-
-    A shared supply assigns the same field draw to both nodes, so the
-    phases are exactly equal every trial; independent supplies draw two.
-    Uses the same uniform columns as the full trial, so the phases match
-    what ``run_link_trial`` saw for the same (seed, trial_index).
-    """
-    if t < 0.0:
-        raise ValueError("storage time t must be >= 0")
-    proto = _link_protocol(cfg, t)
-    u = trial_uniforms(r.seed, r.trial_index, 1, r.stream)
-    db_a, db_b = _field_samples(u, proto)
-    phi_l = 2.0 * math.pi * proto.arm_a.mu_prime * float(db_a[0]) * t
-    phi_r = 2.0 * math.pi * proto.arm_b.mu_prime * float(db_b[0]) * t
-    return phi_l, phi_r
 
 
 # ---------------------------------------------------------------------------
@@ -604,156 +476,79 @@ def default_thetas(n: int = 12) -> np.ndarray:
 # batch drivers
 
 
-def _run_fringe(
-    proto: _Protocol,
-    thetas: np.ndarray,
+def simulate_link_fringe(
+    setup: LinkConfig | ModePair,
+    t: float,
+    *,
     trials_per_theta: int,
     seed: int,
-    chunk_size: int,
+    thetas: np.ndarray | None = None,
+    theta_points: int = 12,
+    chunk_size: int = _DEFAULT_CHUNK,
 ) -> CountsRecord:
-    thetas = np.asarray(thetas, dtype=float)
+    """Fringe-mode run of a link or mode pair over a theta grid."""
+    if trials_per_theta < 1:
+        raise ValueError("trials_per_theta must be >= 1")
+    proto = _protocol(setup, t)
+    thetas = default_thetas(theta_points) if thetas is None else np.asarray(thetas, dtype=float)
     n_bins = thetas.size
     total = n_bins * trials_per_theta
-    her = np.zeros(n_bins, dtype=np.int64)
-    coin = np.zeros(n_bins, dtype=np.int64)
-    her_alt = np.zeros(n_bins, dtype=np.int64)
-    coin_alt = np.zeros(n_bins, dtype=np.int64)
+    # per bin: D_S1 heralds, their coincidences, D_S2-only heralds, theirs
+    tallies = np.zeros((4, n_bins), dtype=np.int64)
     n_as1 = 0
-    start = 0
-    while start < total:
-        count = min(chunk_size, total - start)
-        u = trial_uniforms(seed, start, count, STREAM_FRINGE)
-        idx = (np.arange(start, start + count) // trials_per_theta).astype(np.int64)
-        s1, s2, c1, _c2, _na, _nb = _fringe_batch(proto, thetas[idx], u)
+    for start, u in _chunks(seed, STREAM_FRINGE, total, chunk_size):
+        idx = np.arange(start, start + len(u)) // trials_per_theta
+        s1, s2, c1 = _fringe_batch(proto, thetas[idx], u)
         n_as1 += int(c1.sum())
         # D_S2-only heralds give the phase-flipped fringe; kept disjoint from
         # the primary D_S1 tallies so the two estimates are independent
         alt = s2 & ~s1
-        her += np.bincount(idx, weights=s1.astype(np.float64), minlength=n_bins).astype(np.int64)
-        coin += np.bincount(idx, weights=(s1 & c1).astype(np.float64), minlength=n_bins).astype(np.int64)
-        her_alt += np.bincount(idx, weights=alt.astype(np.float64), minlength=n_bins).astype(np.int64)
-        coin_alt += np.bincount(idx, weights=(alt & c1).astype(np.float64), minlength=n_bins).astype(np.int64)
-        start += count
-    bins = [ThetaBin(float(th), int(c), int(h)) for th, c, h in zip(thetas, coin, her)]
-    bins_alt = [ThetaBin(float(th), int(c), int(h)) for th, c, h in zip(thetas, coin_alt, her_alt)]
+        for row, flags in enumerate((s1, s1 & c1, alt, alt & c1)):
+            tallies[row] += np.bincount(idx[flags], minlength=n_bins)
+    th = thetas.tolist()
+    her, coin, her_alt, coin_alt = tallies.tolist()
     return CountsRecord(
         n_trials=total,
-        n_heralds=int(her.sum()),
+        n_heralds=sum(her),
         n_as1_clicks=n_as1,
-        theta_bins=bins,
-        theta_bins_alt=bins_alt,
+        theta_bins=list(map(ThetaBin, th, coin, her)),
+        theta_bins_alt=list(map(ThetaBin, th, coin_alt, her_alt)),
     )
-
-
-def _run_pairs(proto: _Protocol, trials: int, seed: int, chunk_size: int) -> CountsRecord:
-    tallies = np.zeros(4, dtype=np.int64)  # 00, 01, 10, 11
-    heralds = 0
-    start = 0
-    while start < trials:
-        count = min(chunk_size, trials - start)
-        u = trial_uniforms(seed, start, count, STREAM_PAIRS)
-        heralded, click_a, click_b = _pair_batch(proto, u)
-        heralds += int(heralded.sum())
-        code = np.where(heralded, click_a.astype(np.int8) * 2 + click_b.astype(np.int8), -1)
-        for j in range(4):
-            tallies[j] += int(np.count_nonzero(code == j))
-        start += count
-    # channel a is the left node / MFI mode: index i of p_ij
-    pij = PairCounts(n00=int(tallies[0]), n01=int(tallies[1]), n10=int(tallies[2]), n11=int(tallies[3]))
-    return CountsRecord(pair_trials=trials, pair_heralds=heralds, pij_counts=pij)
-
-
-def _run_correlation(proto: _Protocol, trials: int, seed: int, chunk_size: int) -> CountsRecord:
-    sums = np.zeros((2, 3), dtype=np.int64)  # per channel: stokes, anti-stokes, coincidence
-    start = 0
-    while start < trials:
-        count = min(chunk_size, trials - start)
-        u = trial_uniforms(seed, start, count, STREAM_CORRELATION)
-        for ch, (s_click, as_click) in enumerate(_correlation_batch(proto, u)):
-            sums[ch] += (
-                int(s_click.sum()),
-                int(as_click.sum()),
-                int((s_click & as_click).sum()),
-            )
-        start += count
-    tallies = tuple(
-        ChannelTallies(
-            n_pulses=trials,
-            n_stokes=int(sums[ch, 0]),
-            n_anti_stokes=int(sums[ch, 1]),
-            n_coincidence=int(sums[ch, 2]),
-        )
-        for ch in range(2)
-    )
-    return CountsRecord(correlation_trials=trials, correlation=tallies)
-
-
-def simulate_link_fringe(
-    cfg: LinkConfig,
-    t: float,
-    *,
-    trials_per_theta: int,
-    seed: int,
-    thetas: np.ndarray | None = None,
-    theta_points: int = 12,
-    chunk_size: int = _DEFAULT_CHUNK,
-) -> CountsRecord:
-    """Fringe-mode run of the link protocol over a theta grid."""
-    if trials_per_theta < 1:
-        raise ValueError("trials_per_theta must be >= 1")
-    th = default_thetas(theta_points) if thetas is None else np.asarray(thetas, dtype=float)
-    return _run_fringe(_link_protocol(cfg, t), th, trials_per_theta, seed, chunk_size)
 
 
 def simulate_link_pairs(
-    cfg: LinkConfig, t: float, *, trials: int, seed: int, chunk_size: int = _DEFAULT_CHUNK
+    setup: LinkConfig | ModePair, t: float, *, trials: int, seed: int, chunk_size: int = _DEFAULT_CHUNK
 ) -> CountsRecord:
-    """Pair-count-mode run of the link protocol (conditional p_ij tallies)."""
+    """Pair-count-mode run of a link or mode pair (conditional p_ij tallies)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    return _run_pairs(_link_protocol(cfg, t), trials, seed, chunk_size)
+    proto = _protocol(setup, t)
+    tallies = np.zeros(4, dtype=np.int64)  # 00, 01, 10, 11
+    for _, u in _chunks(seed, STREAM_PAIRS, trials, chunk_size):
+        heralded, click_a, click_b = _pair_batch(proto, u)
+        tallies += np.bincount(2 * click_a[heralded] + click_b[heralded], minlength=4)
+    # channel a is the left node / MFI mode: index i of p_ij
+    n00, n01, n10, n11 = tallies.tolist()
+    return CountsRecord(
+        pair_trials=trials, pair_heralds=n00 + n01 + n10 + n11, pij_counts=PairCounts(n00, n01, n10, n11)
+    )
 
 
 def simulate_link_correlation(
-    cfg: LinkConfig, t: float, *, trials: int, seed: int, chunk_size: int = _DEFAULT_CHUNK
+    setup: LinkConfig | ModePair, t: float, *, trials: int, seed: int, chunk_size: int = _DEFAULT_CHUNK
 ) -> CountsRecord:
-    """Correlation-mode run of the link protocol (per-channel g tallies)."""
+    """Correlation-mode run of a link or mode pair (per-channel g tallies)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    return _run_correlation(_link_protocol(cfg, t), trials, seed, chunk_size)
-
-
-def simulate_mode_pair_fringe(
-    pair: ModePair,
-    t: float,
-    *,
-    trials_per_theta: int,
-    seed: int,
-    thetas: np.ndarray | None = None,
-    theta_points: int = 12,
-    chunk_size: int = _DEFAULT_CHUNK,
-) -> CountsRecord:
-    """Fringe-mode run of the single-ensemble two-mode protocol."""
-    if trials_per_theta < 1:
-        raise ValueError("trials_per_theta must be >= 1")
-    th = default_thetas(theta_points) if thetas is None else np.asarray(thetas, dtype=float)
-    return _run_fringe(_mode_pair_protocol(pair, t), th, trials_per_theta, seed, chunk_size)
-
-
-def simulate_mode_pair_pairs(
-    pair: ModePair, t: float, *, trials: int, seed: int, chunk_size: int = _DEFAULT_CHUNK
-) -> CountsRecord:
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    return _run_pairs(_mode_pair_protocol(pair, t), trials, seed, chunk_size)
-
-
-def simulate_mode_pair_correlation(
-    pair: ModePair, t: float, *, trials: int, seed: int, chunk_size: int = _DEFAULT_CHUNK
-) -> CountsRecord:
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    return _run_correlation(_mode_pair_protocol(pair, t), trials, seed, chunk_size)
+    proto = _protocol(setup, t)
+    sums = np.zeros((2, 3), dtype=np.int64)  # per channel: stokes, anti-stokes, coincidence
+    for _, u in _chunks(seed, STREAM_CORRELATION, trials, chunk_size):
+        for ch, (s_click, as_click) in enumerate(_correlation_batch(proto, u)):
+            sums[ch] += (s_click.sum(), as_click.sum(), (s_click & as_click).sum())
+    return CountsRecord(
+        correlation_trials=trials,
+        correlation=tuple(ChannelTallies(trials, *row) for row in sums.tolist()),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -918,37 +713,3 @@ def estimate_statistics(counts: CountsRecord) -> CountsStatistics:
         concurrence=conc,
         concurrence_std_error=math.sqrt(max(var, 0.0)),
     )
-
-
-@dataclass(frozen=True)
-class PhaseAverage:
-    mean_cos: float
-    std_error: float
-
-
-def mc_phase_average(
-    mu_prime: float, sigma: float, t: float, n: int, seed: int, chunk_size: int = _DEFAULT_CHUNK
-) -> PhaseAverage:
-    """Monte-Carlo estimate of <cos(2 pi mu' dB t)> over Lorentzian dB.
-
-    The integrand is bounded, so the estimator has finite variance despite
-    the heavy Cauchy tails; no truncation is applied.
-    """
-    if n < 1000:
-        raise ValueError("need at least 1000 samples")
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
-    total = 0.0
-    total_sq = 0.0
-    start = 0
-    while start < n:
-        count = min(chunk_size, n - start)
-        u = trial_uniforms(seed, start, count, STREAM_PHASE)[:, _COL_FIELD_A]
-        db = lorentzian_from_uniform(sigma, u)
-        c = np.cos(2.0 * np.pi * mu_prime * db * t)
-        total += float(c.sum())
-        total_sq += float((c * c).sum())
-        start += count
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0)
-    return PhaseAverage(mean_cos=mean, std_error=math.sqrt(var / n))

@@ -153,6 +153,12 @@ class TestFitVisibilityDephasing:
         with pytest.raises(FitError):
             analysis.fit_visibility_dephasing(growing, vg, self.MU)
 
+    def test_insensitive_channel_rejected(self):
+        series, vg = self._series(50e-6, 0.88)
+        for mu_prime in (0.0, -self.MU):
+            with pytest.raises(ValueError, match="mu_prime"):
+                analysis.fit_visibility_dephasing(series, vg, mu_prime)
+
     def test_noisy_recovery(self):
         for seed in range(10):
             series, vg = self._series(50e-6, 0.88, noise_frac=0.02, seed=seed)

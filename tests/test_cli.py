@@ -204,6 +204,25 @@ class TestFitCommand:
         assert rec["xi_prime"]["rel_error"] < 0.05
         assert rec["tau_0"]["rel_error"] < 0.05
 
+    def test_insensitive_pair_is_exit_1(self, tmp_path, capsys):
+        # mu'_mfs = mu'_mfi = 0: nothing dephases, so no sigma_b can be inferred
+        cfg = write_config(tmp_path, {"single_ensemble": {"mu_prime_mfs": 0.0}})
+        assert run_cli(["fit", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "mu_prime" in err
+        assert "Traceback" not in err
+
+    def test_mfi_more_sensitive_than_mfs(self, tmp_path):
+        # the mixed pairing dephases with |mu'_mfs - mu'_mfi| whichever mode leads
+        cfg = write_config(tmp_path, {"single_ensemble": {"mu_prime_mfi": 2.8e6}})
+        out = tmp_path / "fit.json"
+        assert run_cli(["fit", "--config", cfg, "--output", str(out), "--format", "json"]) == 0
+        doc = json.loads(out.read_text())
+        rec = {row[0]: dict(zip(doc["columns"], row)) for row in doc["rows"]}
+        assert rec["sigma_b"]["fitted_value"] > 0.0
+        assert rec["sigma_b"]["rel_error"] < 0.05
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self):

@@ -329,6 +329,14 @@ class TestConcurrence:
         assert model.concurrence_param(0.3, 0.15, 100.0) == 0.0
         assert model.concurrence_param(0.3, 0.9, 100.0) > 0.0
 
+    def test_margin_sets_the_sign_of_the_param_form(self):
+        # V - 2 sqrt((1 - p_c)/g): 0.9 - 2 sqrt(0.7/100) and 0.15 - 2 sqrt(0.7/100)
+        assert model.concurrence_margin(0.3, 0.9, 100.0) == pytest.approx(0.9 - 2.0 * math.sqrt(0.007), rel=1e-15)
+        assert model.concurrence_margin(0.3, 0.15, 100.0) < 0.0
+        p_c = np.array([0.0, 0.1, 0.3, 0.7])
+        margin = model.concurrence_margin(p_c, 0.9, 100.0)
+        np.testing.assert_array_equal(model.concurrence_param(p_c, 0.9, 100.0), np.maximum(0.0, p_c * margin))
+
     def test_param_against_counting_form(self):
         # small-chi closed probabilities: p01 = p10 = p_c/2, p11 = p_c^2/g,
         # p00 the rest; both formulas must then agree to first order

@@ -1,4 +1,4 @@
-"""Monte-Carlo engine: determinism, per-trial purity, protocol statistics
+"""Monte-Carlo engine: determinism, chunk invariance, protocol statistics
 and estimator behaviour. Statistical assertions run at pinned seeds with
 3-standard-error tolerances.
 """
@@ -39,18 +39,25 @@ class TestTrialStreams:
         b = st.trial_uniforms(99, 0, 4, stream=st.STREAM_PAIRS)
         assert not np.array_equal(a, b)
 
-    def test_trial_randomness_row(self):
-        row = st.TrialRandomness(seed=5, trial_index=7).uniforms()
-        np.testing.assert_array_equal(row, st.trial_uniforms(5, 7, 1)[0])
-
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
-            st.TrialRandomness(seed=1, trial_index=-1)
+            st.trial_uniforms(1, -1, 1)
+
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_nonpositive_chunk_size_rejected(self, plain_link, chunk_size):
+        for run in (
+            lambda: st.simulate_link_fringe(plain_link, 0.0, trials_per_theta=10, seed=1, chunk_size=chunk_size),
+            lambda: st.simulate_link_pairs(plain_link, 0.0, trials=10, seed=1, chunk_size=chunk_size),
+            lambda: st.simulate_link_correlation(plain_link, 0.0, trials=10, seed=1, chunk_size=chunk_size),
+        ):
+            with pytest.raises(ValueError, match="chunk_size"):
+                run()
 
 
 class TestLorentzianSampling:
     def test_zero_width(self):
-        assert st.sample_lorentzian(0.0, st.TrialRandomness(1, 0)) == 0.0
+        u = st.trial_uniforms(1, 0, 100)[:, 6]
+        np.testing.assert_array_equal(st.lorentzian_from_uniform(0.0, u), np.zeros(100))
 
     def test_quantile_at_three_quarters(self):
         # tan(pi/4) = 1, so u = 0.75 maps to sigma itself
@@ -59,29 +66,34 @@ class TestLorentzianSampling:
     def test_median_absolute_value(self):
         # half of all draws fall within one width of zero (Cauchy CDF)
         sigma = 3e-3
-        u = st.trial_uniforms(2024, 0, 1_000_000, stream=st.STREAM_PHASE)[:, 6]
+        u = st.trial_uniforms(2024, 0, 1_000_000, stream=3)[:, 6]  # a stream no mode uses
         frac = float(np.mean(np.abs(st.lorentzian_from_uniform(sigma, u)) <= sigma))
         assert frac == pytest.approx(0.5, abs=2e-3)
 
-    def test_matches_engine_columns(self, plain_link):
-        # the standalone sampler reads the same column the trial engine uses
-        r = st.TrialRandomness(seed=11, trial_index=3)
-        db = st.sample_lorentzian(1e-3, r)
-        phi_l, _ = st.sample_link_phases(plain_link, 1.0, r)
-        assert phi_l == pytest.approx(2.0 * math.pi * 5000.0 * db * 1.0, rel=1e-12)
-
 
 class TestLinkPhases:
-    def test_shared_supply_equal_every_trial(self, lattice_node, clock_mode):
-        cfg = LinkConfig.symmetric(
-            lattice_node, NoiseField(sigma_b=4e-3, topology=Topology.SHARED), clock_mode
-        )
-        for i in range(50):
-            phi_l, phi_r = st.sample_link_phases(cfg, 0.02, st.TrialRandomness(7, i))
-            assert phi_l == phi_r
+    @staticmethod
+    def fringe_at_widths(node, mode, topology, t):
+        return [
+            st.simulate_link_fringe(
+                LinkConfig.symmetric(node, NoiseField(sigma_b=sigma_b, topology=topology), mode),
+                t,
+                trials_per_theta=20_000,
+                seed=7,
+            )
+            for sigma_b in (0.0, 4e-3)
+        ]
 
-    def test_zero_time_zero_phase(self, plain_link):
-        assert st.sample_link_phases(plain_link, 0.0, st.TrialRandomness(7, 0)) == (0.0, 0.0)
+    def test_shared_supply_equal_every_trial(self, lattice_node, clock_mode):
+        # one draw feeds both nodes, so the phase difference is exactly zero
+        # every trial and the record does not depend on the field width
+        a, b = self.fringe_at_widths(lattice_node, clock_mode, Topology.SHARED, 0.02)
+        assert a == b
+
+    def test_zero_time_zero_phase(self, lattice_node, clock_mode):
+        # no phase accumulates at t = 0, even from independent supplies
+        a, b = self.fringe_at_widths(lattice_node, clock_mode, Topology.INDEPENDENT, 0.0)
+        assert a == b
 
     def test_independent_difference_dephases_like_double_width(self, plain_link):
         # mean cos(phase difference) at t = tau_0 is e^{-1}: the difference
@@ -93,29 +105,24 @@ class TestLinkPhases:
         vals = np.cos(2.0 * np.pi * 5000.0 * (db_l - db_r) * tau_0)
         se = float(vals.std() / math.sqrt(vals.size))
         assert_within_se(float(vals.mean()), math.exp(-1.0), se)
-        # spot-check the scalar operation against the same columns
-        phi_l, phi_r = st.sample_link_phases(plain_link, tau_0, st.TrialRandomness(31, 0))
-        assert math.cos(phi_l - phi_r) == pytest.approx(float(vals[0]), rel=1e-12)
 
 
 class TestLinkTrial:
     def test_no_excitation_never_heralds(self, lattice_node, clock_mode):
         node = EnsembleParams(chi=0.0, gamma_0=0.76, decay=lattice_node.decay, xi_se=0.26, z_noise=3e-4, eta=0.4)
         cfg = link_at(node, clock_mode, 1e-3)
-        for i in range(300):
-            out = st.run_link_trial(cfg, 0.0, 0.0, st.TrialRandomness(3, i))
-            assert not out.heralded
-            assert out.excitations == (0, 0)
+        fringe = st.simulate_link_fringe(cfg, 0.0, trials_per_theta=1000, seed=3)
+        assert fringe.n_heralds == 0
+        assert sum(b.n_heralds for b in fringe.theta_bins_alt) == 0
+        assert st.simulate_link_pairs(cfg, 0.0, trials=12_000, seed=3).pair_heralds == 0
 
     def test_single_trial_matches_batch_rows(self, plain_link):
-        batch = st.simulate_link_fringe(plain_link, 5e-3, trials_per_theta=4000, seed=17, thetas=np.array([0.7]))
-        heralds = coinc = 0
-        for i in range(4000):
-            out = st.run_link_trial(plain_link, 5e-3, 0.7, st.TrialRandomness(17, i))
-            heralds += out.heralded
-            coinc += out.heralded and out.as_clicks[0]
-        assert heralds == batch.theta_bins[0].n_heralds
-        assert coinc == batch.theta_bins[0].n_coincidence
+        # each trial owns its uniform block, so one trial per chunk is the
+        # same run as the default chunking
+        kw = dict(trials_per_theta=4000, seed=17, thetas=np.array([0.7]))
+        batch = st.simulate_link_fringe(plain_link, 5e-3, **kw)
+        assert batch.n_heralds > 0
+        assert st.simulate_link_fringe(plain_link, 5e-3, chunk_size=1, **kw) == batch
 
     def test_herald_rate(self, plain_link, lattice_node):
         rec = st.simulate_link_fringe(plain_link, 0.0, trials_per_theta=50_000, seed=23)
@@ -174,12 +181,12 @@ class TestSingleEnsembleTrial:
                 mode_mfi=SpinWaveMode.mfs(), mode_mfs=SpinWaveMode.mfs(),
                 noise=NoiseField(sigma_b=sigma_b), zeta=0.85,
             )
-            records.append(st.simulate_mode_pair_fringe(pair, 50e-6, trials_per_theta=20_000, seed=13))
+            records.append(st.simulate_link_fringe(pair, 50e-6, trials_per_theta=20_000, seed=13))
         assert records[0] == records[1]
 
     def test_mixed_pairing_damps_by_e_at_tau0(self, measured_pair):
         tau_0 = model.mode_pair_curves(measured_pair, 0.0).tau_0
-        rec = st.simulate_mode_pair_fringe(measured_pair, tau_0, trials_per_theta=150_000, seed=37)
+        rec = st.simulate_link_fringe(measured_pair, tau_0, trials_per_theta=150_000, seed=37)
         vis = st.estimate_visibility(rec)
         expected = float(model.mode_pair_curves(measured_pair, tau_0).v_mixed)
         assert_within_se(vis.value, expected, vis.std_error)
@@ -197,32 +204,9 @@ class TestSingleEnsembleTrial:
             mode_mfi=SpinWaveMode.mfs(), mode_mfs=SpinWaveMode.mfs(),
             noise=measured_pair.noise, zeta=0.85, xi_prime=1.0,
         )
-        a = st.simulate_mode_pair_fringe(mixed, 0.0, trials_per_theta=20_000, seed=2)
-        b = st.simulate_mode_pair_fringe(matched, 0.0, trials_per_theta=20_000, seed=2)
+        a = st.simulate_link_fringe(mixed, 0.0, trials_per_theta=20_000, seed=2)
+        b = st.simulate_link_fringe(matched, 0.0, trials_per_theta=20_000, seed=2)
         assert a == b
-
-    def test_single_trial_signature(self, measured_pair):
-        out = st.run_single_ensemble_trial(
-            (SpinWaveMode.mfi(), SpinWaveMode.mfs()),
-            (measured_pair.mfi, measured_pair.mfs),
-            measured_pair.noise,
-            20e-6,
-            0.3,
-            st.TrialRandomness(5, 0),
-            zeta=0.85,
-            xi_prime=0.88,
-        )
-        assert isinstance(out, st.TrialOutcome)
-        # shared parameter set satisfies the single-EnsembleParams signature
-        out2 = st.run_single_ensemble_trial(
-            (SpinWaveMode.mfs(), SpinWaveMode.mfs()),
-            measured_pair.mfs,
-            measured_pair.noise,
-            20e-6,
-            0.3,
-            st.TrialRandomness(5, 0),
-        )
-        assert isinstance(out2, st.TrialOutcome)
 
 
 class TestEstimators:
@@ -297,19 +281,15 @@ class TestEstimators:
 
 
 class TestPhaseAverage:
-    def test_exact_limits(self):
-        assert st.mc_phase_average(5000.0, 2e-3, 0.0, n=2000, seed=1).mean_cos == 1.0
-        assert st.mc_phase_average(5000.0, 0.0, 1.0, n=2000, seed=1).mean_cos == 1.0
-
     def test_characteristic_value(self):
+        # one Lorentzian field of width sigma dephases <cos(2 pi mu' dB t)>
+        # to e^{-1} at t = 1/(2 pi mu' sigma)
         mu, sigma = 5000.0, 2e-3
         t = 1.0 / (2.0 * math.pi * mu * sigma)
-        pa = st.mc_phase_average(mu, sigma, t, n=1_000_000, seed=5)
-        assert_within_se(pa.mean_cos, math.exp(-1.0), pa.std_error)
-
-    def test_minimum_samples(self):
-        with pytest.raises(ValueError):
-            st.mc_phase_average(5000.0, 2e-3, 1.0, n=10, seed=1)
+        u = st.trial_uniforms(5, 0, 1_000_000)[:, 6]
+        vals = np.cos(2.0 * np.pi * mu * st.lorentzian_from_uniform(sigma, u) * t)
+        se = float(vals.std() / math.sqrt(vals.size))
+        assert_within_se(float(vals.mean()), math.exp(-1.0), se)
 
 
 class TestCountsRecord:
