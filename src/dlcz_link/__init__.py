@@ -1,6 +1,13 @@
 """Simulator and analysis toolkit for single-excitation entanglement over a
 two-node DLCZ memory link.
 
+One object, :class:`LinkConfig`, describes a protocol: two arms, each a
+node of a two-node link or a spin-wave mode of one ensemble. The
+inter-arm coherence dephases with tau_0 = 1/(2 pi (mu'_a + mu'_b) sigma_b)
+when the arms see independent field samples and with
+tau_0 = 1/(2 pi |mu'_a - mu'_b| sigma_b) when they share one (series-wired
+supplies, or two modes of one cloud).
+
 Layers:
 
 * :mod:`dlcz_link.params` - parameter containers and unit conventions;
@@ -21,8 +28,6 @@ from .params import (
     FromMotion,
     GaussianAmplitude,
     LinkConfig,
-    ModeLabel,
-    ModePair,
     MotionBroadeningParams,
     NoiseField,
     SpinWaveMode,
@@ -39,8 +44,6 @@ __all__ = [
     "FromMotion",
     "GaussianAmplitude",
     "LinkConfig",
-    "ModeLabel",
-    "ModePair",
     "MotionBroadeningParams",
     "NoiseField",
     "SpinWaveMode",

@@ -4,6 +4,13 @@ Fits are damped least squares (scipy's Levenberg-Marquardt) restarted from
 a coarse grid of initial guesses; decay rates are fitted as rates (1/tau)
 so that flat data lands on the exact infinite-lifetime sentinel instead of
 a large float.
+
+One lifetime root, :func:`entanglement_lifetime`, serves every two-arm
+:class:`~dlcz_link.params.LinkConfig`: a two-node link or a pair of modes
+in one ensemble. It finds the first zero of the concurrence of
+:func:`dlcz_link.model.link_curves`, whose tau_0 is
+1/(2 pi (mu'_a + mu'_b) sigma_b) for independent supplies and
+1/(2 pi |mu'_a - mu'_b| sigma_b) for a shared one.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import numpy as np
 from scipy.optimize import OptimizeWarning, brentq, curve_fit
 
 from . import model
-from .params import LinkConfig, ModePair, NoiseField
+from .params import LinkConfig, NoiseField
 
 __all__ = [
     "DecaySeries",
@@ -27,7 +34,6 @@ __all__ = [
     "fit_cross_correlation",
     "fit_visibility_dephasing",
     "entanglement_lifetime",
-    "mode_pair_lifetime",
     "link_efficiency",
     "Table1Row",
     "make_table1",
@@ -251,39 +257,21 @@ def _first_zero(inner: Callable[[float], float], xtol: float, t_max: float) -> f
 
 
 def entanglement_lifetime(cfg: LinkConfig, *, xtol: float = 1e-4, t_max: float = 1e4) -> float:
-    """Smallest storage time with zero link concurrence, to 0.1 ms by default.
+    """Smallest storage time with zero concurrence, to 0.1 ms by default.
 
     The root is the first zero of V(t) - 2 sqrt((1 - p_c)/g(t)) with
-    p_c = gamma(t) eta. gamma, g, V and tau_0 do not depend on eta, so the
-    lifetime depends on eta only through p_c in that two-photon threshold:
-    it grows with eta, and noticeably so wherever gamma(T_s) eta is not
-    small.
+    p_c = gamma(t) eta, all from :func:`dlcz_link.model.link_curves`.
+    gamma, g, V and tau_0 do not depend on eta, so the lifetime depends on
+    eta only through p_c in that two-photon threshold: it grows with eta,
+    and noticeably so wherever gamma(T_s) eta is not small. Pairs of modes
+    in one ensemble cross within microseconds; pass a finer ``xtol``
+    (1e-7 s) for them.
     """
 
     def inner(t: float) -> float:
         pt = model.link_curves(cfg, t)
         p_c = float(pt.gamma) * cfg.node_l.eta
         return float(model.concurrence_margin(p_c, pt.visibility, pt.g))
-
-    return _first_zero(inner, xtol, t_max)
-
-
-def mode_pair_lifetime(pair: ModePair, pairing: str, *, xtol: float = 1e-7, t_max: float = 1e2) -> float:
-    """Concurrence zero crossing for a mixed (MFI-MFS) or matched (MFS-MFS) pairing."""
-    if pairing not in ("mixed", "matched"):
-        raise ValueError("pairing must be 'mixed' or 'matched'")
-
-    def inner(t: float) -> float:
-        pt = model.mode_pair_curves(pair, t)
-        if pairing == "mixed":
-            g = 0.5 * (float(pt.g_mfi) + float(pt.g_mfs))
-            p_c = pair.mfs.eta * 0.5 * (float(pt.gamma_mfi) + float(pt.gamma_mfs))
-            v = float(pt.v_mixed)
-        else:
-            g = float(pt.g_mfs)
-            p_c = pair.mfs.eta * float(pt.gamma_mfs)
-            v = float(pt.v_matched)
-        return float(model.concurrence_margin(p_c, v, g))
 
     return _first_zero(inner, xtol, t_max)
 

@@ -30,7 +30,7 @@ from .config import (
     load_config,
     sweep_times,
 )
-from .params import NoiseField
+from .params import GaussianAmplitude, LinkConfig, NoiseField
 
 FIGURE_IDS = ("4", "5", "6", "7", "8", "S1")
 
@@ -180,24 +180,30 @@ def cmd_figure(cfg: RunConfig, figure_id: str):
         ]
         return columns, rows
 
-    pt = model.mode_pair_curves(pair, times)
+    # arm a is the MFI mode, arm b the MFS mode; the matched pairing stores
+    # both arms in the MFS mode and has no extra contrast loss
+    mfi, mfs = pair.node_l, pair.node_r
+    mixed = model.link_curves(pair, times)
+    matched = model.link_curves(LinkConfig.symmetric(mfs, pair.noise, pair.mode_r, zeta=pair.zeta), times)
     if figure_id == "4":
         columns = ["t_s", "g_mfi", "g_mfs"]
-        series = [pt.g_mfi, pt.g_mfs]
+        series = [model.cross_correlation(mfi, times), model.cross_correlation(mfs, times)]
     elif figure_id == "5":
-        g_bar = 0.5 * (pt.g_mfi + pt.g_mfs)
-        v_g = model.visibility(g_bar, times, math.inf, zeta=pair.zeta)
+        v_g = model.visibility(mixed.g, times, math.inf, zeta=pair.zeta)
         columns = ["t_s", "v_g", "v_mixed"]
-        series = [v_g, pt.v_mixed]
+        series = [v_g, mixed.visibility]
     elif figure_id == "6":
         columns = ["t_s", "v_matched"]
-        series = [pt.v_matched]
+        series = [matched.visibility]
     elif figure_id == "7":
         columns = ["t_s", "c_mixed", "c_matched"]
-        series = [pt.c_mixed, pt.c_matched]
+        series = [mixed.concurrence, matched.concurrence]
     else:  # S1
         columns = ["t_s", "gamma_mfi", "gamma_mfs"]
-        series = [pt.gamma_mfi, pt.gamma_mfs]
+        series = [
+            model.retrieval_efficiency(mfi.gamma_0, mfi.decay, times),
+            model.retrieval_efficiency(mfs.gamma_0, mfs.decay, times),
+        ]
     rows = [[float(t)] + [float(s[i]) for s in series] for i, t in enumerate(times)]
     return columns, rows
 
@@ -211,43 +217,37 @@ def cmd_fit(cfg: RunConfig):
     parameter recovers its generating value.
     """
     pair = cfg.mode_pair
+    mfi, mfs = pair.node_l, pair.node_r
     rng = np.random.Generator(
         np.random.Philox(key=((_FIT_NOISE_STREAM & (2**64 - 1)) << 64) | cfg.mc.seed)
     )
-    tau_d = pair.mfi.decay.tau_d
+    tau_d = mfi.decay.tau_d
+    # gamma_0 |D(t)|^2 is e^{-t/tau_d} or, for a Gaussian amplitude, e^{-t^2/tau_d^2}
+    law = "gaussian" if isinstance(mfi.decay, GaussianAmplitude) else "exponential"
     rows = []
 
     t_dec = np.linspace(0.05, 3.0, 25) * tau_d
-    gamma_true = model.retrieval_efficiency(pair.mfi.gamma_0, pair.mfi.decay, t_dec)
+    gamma_true = model.retrieval_efficiency(mfi.gamma_0, mfi.decay, t_dec)
     noisy = gamma_true * (1.0 + 0.02 * rng.standard_normal(t_dec.size))
-    res = analysis.fit_decay(DecaySeries(t_dec, noisy), law="exponential")
-    for name, true in (("decay_amplitude", pair.mfi.gamma_0), ("decay_tau", tau_d)):
+    res = analysis.fit_decay(DecaySeries(t_dec, noisy), law=law)
+    for name, true in (("decay_amplitude", mfi.gamma_0), ("decay_tau", tau_d)):
         key = "amplitude" if name == "decay_amplitude" else "tau"
         fitted = res.parameters[key]
         rows.append([name, true, fitted, res.std_errors[key], abs(fitted - true) / true])
 
-    gamma_mfs = model.retrieval_efficiency(pair.mfs.gamma_0, pair.mfs.decay, t_dec)
-    g_true = model.cross_correlation_from_efficiency(
-        gamma_mfs, pair.mfs.chi, pair.mfs.xi_se, pair.mfs.z_noise
-    )
-    noisy_g = g_true * (1.0 + 0.05 * rng.standard_normal(t_dec.size))
-    res = analysis.fit_cross_correlation(
-        DecaySeries(t_dec, noisy_g), gamma_mfs, pair.mfs.chi, pair.mfs.z_noise
-    )
+    gamma_mfs = model.retrieval_efficiency(mfs.gamma_0, mfs.decay, t_dec)
+    noisy_g = model.cross_correlation(mfs, t_dec) * (1.0 + 0.05 * rng.standard_normal(t_dec.size))
+    res = analysis.fit_cross_correlation(DecaySeries(t_dec, noisy_g), gamma_mfs, mfs.chi, mfs.z_noise)
     fitted = res.parameters["xi_se"]
-    rows.append(
-        ["xi_se", pair.mfs.xi_se, fitted, res.std_errors["xi_se"], abs(fitted - pair.mfs.xi_se) / pair.mfs.xi_se]
-    )
+    rows.append(["xi_se", mfs.xi_se, fitted, res.std_errors["xi_se"], abs(fitted - mfs.xi_se) / mfs.xi_se])
 
-    pt0 = model.mode_pair_curves(pair, 0.0)
-    tau_0 = pt0.tau_0
+    tau_0 = model.link_curves(pair, 0.0).tau_0
     t_vis = np.linspace(0.0, 4.0, 25) * (tau_0 if math.isfinite(tau_0) else tau_d)
-    pt = model.mode_pair_curves(pair, t_vis)
-    g_bar = 0.5 * (pt.g_mfi + pt.g_mfs)
-    v_g = model.visibility(g_bar, t_vis, math.inf, zeta=pair.zeta)
-    noisy_v = pt.v_mixed * (1.0 + 0.02 * rng.standard_normal(t_vis.size))
+    pt = model.link_curves(pair, t_vis)
+    v_g = model.visibility(pt.g, t_vis, math.inf, zeta=pair.zeta)
+    noisy_v = pt.visibility * (1.0 + 0.02 * rng.standard_normal(t_vis.size))
     res = analysis.fit_visibility_dephasing(
-        DecaySeries(t_vis, noisy_v), v_g, abs(pair.mode_mfs.mu_prime - pair.mode_mfi.mu_prime)
+        DecaySeries(t_vis, noisy_v), v_g, abs(pair.mode_r.mu_prime - pair.mode_l.mu_prime)
     )
     for name, true in (
         ("xi_prime", pair.xi_prime),

@@ -4,7 +4,10 @@ The configuration is a single JSON document with optional sections; a
 minimal ``{}`` yields the full default parameter set (the lattice-node
 link evaluation: gamma_0 = 0.76, tau_d = 410 ms exponential, chi = 0.5%,
 xi_se = 0.26, Z = 3e-4, zeta = 0.85, mu' = 5 Hz/mG) plus the measured
-single-ensemble parameter set for the figure outputs. Unknown keys and
+single-ensemble parameter set for the figure outputs. Both sections build
+a two-arm :class:`~dlcz_link.params.LinkConfig`: ``link`` a symmetric
+two-node link, ``single_ensemble`` the mixed pair of modes of one cloud
+(arm a MFI, arm b MFS, one shared field sample). Unknown keys and
 out-of-range values are rejected with the offending key named.
 
 Units are the package conventions: seconds, Gauss, Hz/G.
@@ -26,7 +29,6 @@ from .params import (
     ExponentialEfficiency,
     GaussianAmplitude,
     LinkConfig,
-    ModePair,
     NoiseField,
     SpinWaveMode,
     Topology,
@@ -140,7 +142,7 @@ class OutputSettings:
 @dataclass(frozen=True)
 class RunConfig:
     link: LinkConfig
-    mode_pair: ModePair
+    mode_pair: LinkConfig  # the mixed MFI-MFS pairing of the single ensemble
     sigma_b_list: tuple[float, ...]
     t_generation: float
     mc: McSettings
@@ -295,8 +297,8 @@ def config_from_dict(doc: dict[str, Any]) -> RunConfig:
     chi_s = _check_number("single_ensemble.chi", single_d["chi"], 0.0, 1.0)
     eta_s = _check_number("single_ensemble.eta", single_d["eta"], 0.0, 1.0)
     xi_se_s = _check_number("single_ensemble.xi_se", single_d["xi_se"], 0.0, 1.0)
-    mode_pair = ModePair(
-        mfi=EnsembleParams(
+    mode_pair = LinkConfig(
+        node_l=EnsembleParams(
             chi=chi_s,
             gamma_0=_check_number("single_ensemble.gamma_0_mfi", single_d["gamma_0_mfi"], 0.0, 1.0),
             decay=single_decay,
@@ -304,7 +306,7 @@ def config_from_dict(doc: dict[str, Any]) -> RunConfig:
             z_noise=_check_number("single_ensemble.z_mfi", single_d["z_mfi"], 0.0, 1.0),
             eta=eta_s,
         ),
-        mfs=EnsembleParams(
+        node_r=EnsembleParams(
             chi=chi_s,
             gamma_0=_check_number("single_ensemble.gamma_0_mfs", single_d["gamma_0_mfs"], 0.0, 1.0),
             decay=single_decay,
@@ -312,14 +314,16 @@ def config_from_dict(doc: dict[str, Any]) -> RunConfig:
             z_noise=_check_number("single_ensemble.z_mfs", single_d["z_mfs"], 0.0, 1.0),
             eta=eta_s,
         ),
-        mode_mfi=SpinWaveMode.mfi(
+        mode_l=SpinWaveMode.mfi(
             _check_number("single_ensemble.mu_prime_mfi", single_d["mu_prime_mfi"], 0.0, None)
         ),
-        mode_mfs=SpinWaveMode.mfs(
+        mode_r=SpinWaveMode.mfs(
             _check_number("single_ensemble.mu_prime_mfs", single_d["mu_prime_mfs"], 0.0, None)
         ),
+        # both modes live in one cloud and see one field sample
         noise=NoiseField(
             sigma_b=_check_number("single_ensemble.sigma_b", single_d["sigma_b"], 0.0, None),
+            topology=Topology.SHARED,
         ),
         zeta=_check_number("single_ensemble.zeta", single_d["zeta"], 1e-12, 1.0),
         xi_prime=_check_number("single_ensemble.xi_prime", single_d["xi_prime"], 1e-12, 1.0),

@@ -6,6 +6,14 @@ Stokes/anti-Stokes detection-probability chain, fringe visibility and
 concurrence. All functions accept scalars or numpy arrays for the time
 argument and are reentrant (no shared state).
 
+:func:`link_curves` is the one closed form of a two-arm
+:class:`~dlcz_link.params.LinkConfig`, whose arms are the nodes of a
+two-node link or two modes of one ensemble. It averages gamma and g over
+the arms, sets p_c = gamma eta, and takes tau_0 from the phase
+2 pi t (mu'_a dB_a - mu'_b dB_b): tau_0 = 1/(2 pi (mu'_a + mu'_b) sigma_b)
+for independent supplies and 1/(2 pi |mu'_a - mu'_b| sigma_b) for a shared
+one.
+
 Units follow :mod:`dlcz_link.params`: seconds, Gauss, Hz/G.
 """
 
@@ -23,8 +31,8 @@ from .params import (
     FromMotion,
     GaussianAmplitude,
     LinkConfig,
-    ModePair,
     MotionBroadeningParams,
+    Topology,
 )
 
 ArrayLike = float | np.ndarray
@@ -87,11 +95,10 @@ def dephasing_lifetime(mu_prime: float, sigma: float) -> float:
     """Coherence lifetime tau_0 = 1/(2 pi mu' sigma) of the phase-difference channel.
 
     ``mu_prime`` is the sensitivity of the channel that accumulates the
-    phase difference (the common mu' for a two-node link, |mu'_mfs -
-    mu'_mfi| for a mixed pair in one ensemble) and ``sigma`` the Lorentzian
-    width seen by that channel (sigma_delta for a link, sigma_b for a
-    single-ensemble pair). Either factor vanishing gives an infinite
-    lifetime exactly.
+    phase difference (mu'_a + mu'_b for arms on independent supplies,
+    |mu'_a - mu'_b| for arms on one shared field) and ``sigma`` the
+    Lorentzian width sigma_b of one field sample. Either factor vanishing
+    gives an infinite lifetime exactly.
     """
     if mu_prime < 0.0 or sigma < 0.0:
         raise ValueError("mu_prime and sigma must be >= 0")
@@ -140,20 +147,19 @@ def cross_correlation(p: EnsembleParams, t: ArrayLike) -> ArrayLike:
     return cross_correlation_from_efficiency(gamma, p.chi, p.xi_se, p.z_noise)
 
 
-def visibility(
-    g: ArrayLike, t: ArrayLike, tau_0: float, zeta: float = 1.0, xi_prime: float = 1.0
-) -> ArrayLike:
-    """Interference visibility V = zeta xi' (g-1)/(g+1) exp(-t/tau_0).
+def visibility(g: ArrayLike, t: ArrayLike, tau_0: float, zeta: float = 1.0) -> ArrayLike:
+    """Interference visibility V = zeta (g-1)/(g+1) exp(-t/tau_0).
 
-    Callers use xi_prime = 1 for the two-node link and for a matched
-    (MFS-MFS) pair, and tau_0 = inf for a matched pair, which shares its
-    stochastic phase and therefore does not dephase.
+    ``zeta`` is the whole contrast multiplier (mode overlap times any extra
+    contrast loss). tau_0 = inf gives the undamped visibility, as for a
+    matched pair of modes, which shares its stochastic phase and therefore
+    does not dephase.
     """
     _check_time(t)
     if np.any(np.asarray(g) < 1.0):
         raise ValueError("cross-correlation g must be >= 1")
     damping = np.exp(-np.asarray(t, dtype=float) / tau_0) if tau_0 != math.inf else 1.0
-    return zeta * xi_prime * (g - 1.0) / (g + 1.0) * damping
+    return zeta * (g - 1.0) / (g + 1.0) * damping
 
 
 @dataclass(frozen=True)
@@ -231,9 +237,8 @@ def concurrence_margin(p_c: ArrayLike, v: ArrayLike, g: ArrayLike) -> ArrayLike:
 def concurrence_param(p_c: ArrayLike, v: ArrayLike, g: ArrayLike) -> ArrayLike:
     """Parametric concurrence C = max(0, p_c (V - 2 sqrt((1 - p_c)/g))).
 
-    ``p_c`` is the conditional retrieval-detection probability (gamma eta
-    for one channel; the mode-averaged variant passes
-    p_c = eta (gamma_a + gamma_b)/2 and g = (g_a + g_b)/2).
+    ``p_c`` is the conditional retrieval-detection probability gamma eta,
+    with gamma and g averaged over the two arms (see :func:`link_curves`).
     """
     p_c = np.asarray(p_c, dtype=float) if isinstance(p_c, np.ndarray) else float(p_c)
     if np.any(np.asarray(p_c) < 0.0) or np.any(np.asarray(p_c) > 1.0):
@@ -255,82 +260,31 @@ class LinkPoint:
     concurrence: ArrayLike
 
 
-def link_dephasing_lifetime(cfg: LinkConfig) -> float:
-    """tau_0 of the inter-node coherence under the configured supplies."""
-    mu = 0.5 * (cfg.mode_l.mu_prime + cfg.mode_r.mu_prime)
-    return dephasing_lifetime(mu, cfg.noise.sigma_delta)
-
-
 def link_curves(cfg: LinkConfig, t: ArrayLike) -> LinkPoint:
-    """Everything the link's closed-form layer predicts at storage time t.
+    """Everything the two-arm closed-form layer predicts at storage time t.
 
-    Uses the left node's parameters for the single-ensemble quantities
-    (gamma, g, p_c); the standard configuration is symmetric. The fringe
-    contrast carries zeta, xi_prime and, when configured, the residual
+    gamma and g are the arm averages (gamma_a + gamma_b)/2 and
+    (g_a + g_b)/2, and p_c = gamma eta with the detection efficiency of
+    arm a (the engine's shared detectors need it equal in both arms).
+    tau_0 is set by the phase 2 pi t (mu'_a dB_a - mu'_b dB_b): width
+    (mu'_a + mu'_b) sigma_b for independent field samples,
+    |mu'_a - mu'_b| sigma_b for one shared sample. The fringe contrast
+    carries zeta, xi_prime and, when configured, the residual
     interferometer-phase jitter as exp(-jitter^2/2).
     """
     _check_time(t)
-    node = cfg.node_l
-    gamma = retrieval_efficiency(node.gamma_0, node.decay, t)
-    g = cross_correlation_from_efficiency(gamma, node.chi, node.xi_se, node.z_noise)
-    tau_0 = link_dephasing_lifetime(cfg)
+    node_a, node_b = cfg.node_l, cfg.node_r
+    gamma_a = retrieval_efficiency(node_a.gamma_0, node_a.decay, t)
+    gamma_b = retrieval_efficiency(node_b.gamma_0, node_b.decay, t)
+    g_a = cross_correlation_from_efficiency(gamma_a, node_a.chi, node_a.xi_se, node_a.z_noise)
+    g_b = cross_correlation_from_efficiency(gamma_b, node_b.chi, node_b.xi_se, node_b.z_noise)
+    gamma = 0.5 * (gamma_a + gamma_b)
+    g = 0.5 * (g_a + g_b)
+    mu_a, mu_b = cfg.mode_l.mu_prime, cfg.mode_r.mu_prime
+    shared = cfg.noise.topology is Topology.SHARED
+    tau_0 = dephasing_lifetime(abs(mu_a - mu_b) if shared else mu_a + mu_b, cfg.noise.sigma_b)
     contrast = cfg.zeta * cfg.xi_prime * math.exp(-0.5 * cfg.residual_phase_jitter**2)
-    vis = visibility(g, t, tau_0, zeta=contrast, xi_prime=1.0)
-    p_c = gamma * node.eta
+    vis = visibility(g, t, tau_0, zeta=contrast)
+    p_c = gamma * node_a.eta
     conc = concurrence_param(p_c, vis, g)
     return LinkPoint(time=t, gamma=gamma, g=g, tau_0=tau_0, visibility=vis, concurrence=conc)
-
-
-@dataclass(frozen=True)
-class ModePairPoint:
-    """Closed-form curves for two spin-wave modes in one ensemble."""
-
-    time: ArrayLike
-    gamma_mfi: ArrayLike
-    gamma_mfs: ArrayLike
-    g_mfi: ArrayLike
-    g_mfs: ArrayLike
-    tau_0: float
-    v_mixed: ArrayLike  # MFI-MFS pairing, dephased by the shared-field noise
-    v_matched: ArrayLike  # MFS-MFS pairing, immune to it
-    c_mixed: ArrayLike
-    c_matched: ArrayLike
-
-
-def mode_pair_curves(pair: ModePair, t: ArrayLike) -> ModePairPoint:
-    """Visibility and concurrence curves for the two pairings of stored modes.
-
-    The mixed (MFI-MFS) pairing dephases with effective sensitivity
-    |mu'_mfs - mu'_mfi| against the single ensemble's own field width
-    sigma_b, and carries the empirical contrast factor xi_prime; the
-    matched (MFS-MFS) pairing shares its stochastic phase and keeps only
-    the overlap zeta.
-    """
-    _check_time(t)
-    gamma_mfi = retrieval_efficiency(pair.mfi.gamma_0, pair.mfi.decay, t)
-    gamma_mfs = retrieval_efficiency(pair.mfs.gamma_0, pair.mfs.decay, t)
-    g_mfi = cross_correlation_from_efficiency(gamma_mfi, pair.mfi.chi, pair.mfi.xi_se, pair.mfi.z_noise)
-    g_mfs = cross_correlation_from_efficiency(gamma_mfs, pair.mfs.chi, pair.mfs.xi_se, pair.mfs.z_noise)
-    delta_mu = abs(pair.mode_mfs.mu_prime - pair.mode_mfi.mu_prime)
-    tau_0 = dephasing_lifetime(delta_mu, pair.noise.sigma_b)
-
-    g_bar = 0.5 * (g_mfi + g_mfs)
-    v_mixed = visibility(g_bar, t, tau_0, zeta=pair.zeta, xi_prime=pair.xi_prime)
-    v_matched = visibility(g_mfs, t, math.inf, zeta=pair.zeta, xi_prime=1.0)
-
-    eta = pair.mfs.eta
-    p_c_bar = eta * 0.5 * (gamma_mfi + gamma_mfs)
-    c_mixed = concurrence_param(p_c_bar, v_mixed, g_bar)
-    c_matched = concurrence_param(eta * gamma_mfs, v_matched, g_mfs)
-    return ModePairPoint(
-        time=t,
-        gamma_mfi=gamma_mfi,
-        gamma_mfs=gamma_mfs,
-        g_mfi=g_mfi,
-        g_mfs=g_mfs,
-        tau_0=tau_0,
-        v_mixed=v_mixed,
-        v_matched=v_matched,
-        c_mixed=c_mixed,
-        c_matched=c_matched,
-    )

@@ -1,4 +1,12 @@
-"""Parameter containers for the two-node spin-wave link simulator.
+"""Parameter containers for the two-arm spin-wave link simulator.
+
+One object describes a protocol: :class:`LinkConfig`, two arms that each
+store one spin wave. An arm is a memory node of a two-node link (one
+ensemble per arm) or a stored mode of a single ensemble (two modes of one
+cloud). The supply topology says which field samples the arms see:
+independent supplies dephase the inter-arm coherence with lifetime
+tau_0 = 1/(2 pi (mu'_a + mu'_b) sigma_b), a shared supply (and every pair
+of modes in one ensemble) with tau_0 = 1/(2 pi |mu'_a - mu'_b| sigma_b).
 
 Unit conventions, used everywhere in this package:
 
@@ -27,17 +35,13 @@ BOHR_MAGNETON_HZ_PER_G = _const.physical_constants["Bohr magneton in Hz/T"][0] *
 
 
 class Topology(str, Enum):
-    """How the two nodes' bias-coil supplies are wired."""
+    """How the two arms' bias-coil supplies are wired."""
 
     #: one DC supply per node; field fluctuations are independent draws
     INDEPENDENT = "independent"
-    #: coils of both nodes in series on one supply; fluctuations identical
+    #: coils of both nodes in series on one supply, or two modes of one
+    #: ensemble; fluctuations identical
     SHARED = "shared"
-
-
-class ModeLabel(str, Enum):
-    MFI = "mfi"  # magnetic-field-insensitive ("clock") transition
-    MFS = "mfs"  # magnetic-field-sensitive transition
 
 
 def _check_probability(name: str, value: float) -> None:
@@ -119,27 +123,26 @@ class SpinWaveMode:
     """
 
     mu_prime: float  # Hz/G
-    label: ModeLabel = ModeLabel.MFS
 
     def __post_init__(self) -> None:
         _check_nonnegative("mu_prime", self.mu_prime)
 
     @classmethod
     def mfi(cls, mu_prime: float = 0.0) -> "SpinWaveMode":
-        """Clock-transition mode; exactly insensitive by default."""
-        return cls(mu_prime=mu_prime, label=ModeLabel.MFI)
+        """Magnetic-field-insensitive (clock) mode; exactly insensitive by default."""
+        return cls(mu_prime=mu_prime)
 
     @classmethod
     def mfs(cls, mu_prime: float = BOHR_MAGNETON_HZ_PER_G) -> "SpinWaveMode":
-        """Field-sensitive mode, mu' = mu_B/h per unit field by default."""
-        return cls(mu_prime=mu_prime, label=ModeLabel.MFS)
+        """Magnetic-field-sensitive mode, mu' = mu_B/h per unit field by default."""
+        return cls(mu_prime=mu_prime)
 
 
 @dataclass(frozen=True)
 class NoiseField:
-    """Slow magnetic-field fluctuation (Lorentzian, shot-to-shot) at the nodes."""
+    """Slow magnetic-field fluctuation (Lorentzian, shot-to-shot) at the arms."""
 
-    sigma_b: float  # G, Lorentzian half-width per node
+    sigma_b: float  # G, Lorentzian half-width per supply
     topology: Topology = Topology.INDEPENDENT
 
     def __post_init__(self) -> None:
@@ -149,7 +152,7 @@ class NoiseField:
 
     @property
     def sigma_delta(self) -> float:
-        """Width of the inter-node field difference: 2 sigma_b, or 0 when shared."""
+        """Width of the inter-arm field difference: 2 sigma_b, or 0 when shared."""
         if self.topology is Topology.SHARED:
             return 0.0
         return 2.0 * self.sigma_b
@@ -157,7 +160,7 @@ class NoiseField:
 
 @dataclass(frozen=True)
 class EnsembleParams:
-    """Write/read parameters of one ensemble (or of one spin-wave mode).
+    """Write/read parameters of one arm: an ensemble, or one spin-wave mode of it.
 
     ``chi`` is the excitation probability per write pulse, ``gamma_0`` the
     zero-delay retrieval efficiency, ``xi_se`` the branching ratio of the
@@ -187,13 +190,16 @@ class EnsembleParams:
 
 @dataclass(frozen=True)
 class LinkConfig:
-    """Two memory nodes plus everything the interferometric link needs.
+    """Two arms, each a node of a two-node link or a mode of one ensemble.
 
-    The measured-visibility contrast multipliers are ``zeta`` (mode overlap
-    of the two interferometer arms) and ``xi_prime`` (empirical extra
-    contrast loss, unity unless configured). ``residual_phase_jitter`` is
-    the RMS of the unstabilized interferometer phase in rad (0 = perfectly
-    stabilized write/read interferometers).
+    ``node_l``/``mode_l`` and ``node_r``/``mode_r`` are the write/read
+    parameters and the magnetic character of arm a and arm b. A pair of
+    modes in one ensemble sees one field sample, so it uses
+    ``Topology.SHARED``. The measured-visibility contrast multipliers are
+    ``zeta`` (mode overlap of the two interferometer arms) and ``xi_prime``
+    (empirical extra contrast loss, unity unless configured).
+    ``residual_phase_jitter`` is the RMS of the unstabilized interferometer
+    phase in rad (0 = perfectly stabilized write/read interferometers).
     """
 
     node_l: EnsembleParams
@@ -222,7 +228,7 @@ class LinkConfig:
         xi_prime: float = 1.0,
         residual_phase_jitter: float = 0.0,
     ) -> "LinkConfig":
-        """The default symmetric link: identical nodes and storage modes."""
+        """Identical arms: the default two-node link, or a matched pair of modes."""
         return cls(
             node_l=node,
             node_r=node,
@@ -233,27 +239,3 @@ class LinkConfig:
             xi_prime=xi_prime,
             residual_phase_jitter=residual_phase_jitter,
         )
-
-
-@dataclass(frozen=True)
-class ModePair:
-    """Two spin-wave modes stored in a single ensemble (one shared field).
-
-    Models the single-ensemble experiment where the entangled pair lives in
-    two modes of the same cloud: per-mode write/read parameters, the mode
-    magnetic characters and the single noise field they both see.
-    """
-
-    mfi: EnsembleParams
-    mfs: EnsembleParams
-    mode_mfi: SpinWaveMode
-    mode_mfs: SpinWaveMode
-    noise: NoiseField
-    zeta: float = 1.0
-    xi_prime: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("zeta", "xi_prime"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"{name}: expected a value in (0, 1], got {value}")

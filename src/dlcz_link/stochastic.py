@@ -24,9 +24,12 @@ experiment, one ``simulate_link_*`` function each:
 * correlation mode - nothing mixed; per-channel singles and coincidences
   give the cross-correlation g.
 
-Each takes either a two-node :class:`~dlcz_link.params.LinkConfig` or a
-single-ensemble :class:`~dlcz_link.params.ModePair` (two modes of one
-cloud, one shared field sample); both reduce to the same two-arm protocol.
+Each takes one two-arm :class:`~dlcz_link.params.LinkConfig`, whose arms
+are two nodes or two modes of one cloud. The stochastic phase is
+2 pi t (mu'_a dB_a - mu'_b dB_b) with Lorentzian field samples of width
+sigma_b: independent per arm for independent supplies (the coherence
+decays with tau_0 = 1/(2 pi (mu'_a + mu'_b) sigma_b)), one shared sample
+for a shared supply or one ensemble (tau_0 = 1/(2 pi |mu'_a - mu'_b| sigma_b)).
 
 Only the heralded single-excitation component interferes coherently;
 multi-pair components, retrieval noise and backgrounds pick beam-splitter
@@ -45,7 +48,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import model
-from .params import EnsembleParams, LinkConfig, ModePair, SpinWaveMode, Topology
+from .params import EnsembleParams, LinkConfig, SpinWaveMode, Topology
 
 __all__ = [
     "WORDS_PER_TRIAL",
@@ -162,26 +165,14 @@ class _Protocol:
     sigma_b: float
     shared_field: bool
     time: float
-    contrast: float  # fringe-contrast multiplier (zeta, xi' where applicable)
+    contrast: float  # fringe-contrast multiplier zeta xi'
     jitter_rms: float  # rad
 
 
-def _protocol(setup: LinkConfig | ModePair, t: float) -> _Protocol:
-    """Two-arm protocol of a link (arms = nodes) or a mode pair (arms = modes)."""
+def _protocol(setup: LinkConfig, t: float) -> _Protocol:
+    """Two-arm protocol of a link (arms = nodes or modes of one ensemble)."""
     if t < 0.0:
         raise ValueError("storage time t must be >= 0")
-    if isinstance(setup, ModePair):
-        mixed = setup.mode_mfi.label != setup.mode_mfs.label
-        # one ensemble: both modes always see the same field sample
-        return _Protocol(
-            arm_a=_arm(setup.mfi, setup.mode_mfi, t),
-            arm_b=_arm(setup.mfs, setup.mode_mfs, t),
-            sigma_b=setup.noise.sigma_b,
-            shared_field=True,
-            time=t,
-            contrast=setup.zeta * (setup.xi_prime if mixed else 1.0),
-            jitter_rms=0.0,
-        )
     return _Protocol(
         arm_a=_arm(setup.node_l, setup.mode_l, t),
         arm_b=_arm(setup.node_r, setup.mode_r, t),
@@ -197,7 +188,7 @@ def _protocol(setup: LinkConfig | ModePair, t: float) -> _Protocol:
 # vectorized trial kernels
 
 
-def lorentzian_from_uniform(sigma: float, u):
+def lorentzian_from_uniform(sigma: float, u: np.ndarray) -> np.ndarray:
     """Quantile transform: sigma * tan(pi (u - 1/2)) for u uniform in (0, 1).
 
     Samples are never truncated: downstream use is through bounded
@@ -206,10 +197,8 @@ def lorentzian_from_uniform(sigma: float, u):
     if sigma < 0.0:
         raise ValueError("sigma must be >= 0")
     if sigma == 0.0:
-        return np.zeros_like(u) if isinstance(u, np.ndarray) else 0.0
-    return sigma * np.tan(np.pi * (np.asarray(u) - 0.5)) if isinstance(u, np.ndarray) else sigma * math.tan(
-        math.pi * (u - 0.5)
-    )
+        return np.zeros_like(u)
+    return sigma * np.tan(np.pi * (u - 0.5))
 
 
 def _thermal_counts(u: np.ndarray, chi: float) -> np.ndarray:
@@ -477,7 +466,7 @@ def default_thetas(n: int = 12) -> np.ndarray:
 
 
 def simulate_link_fringe(
-    setup: LinkConfig | ModePair,
+    setup: LinkConfig,
     t: float,
     *,
     trials_per_theta: int,
@@ -486,7 +475,7 @@ def simulate_link_fringe(
     theta_points: int = 12,
     chunk_size: int = _DEFAULT_CHUNK,
 ) -> CountsRecord:
-    """Fringe-mode run of a link or mode pair over a theta grid."""
+    """Fringe-mode run of a two-arm setup over a theta grid."""
     if trials_per_theta < 1:
         raise ValueError("trials_per_theta must be >= 1")
     proto = _protocol(setup, t)
@@ -517,9 +506,9 @@ def simulate_link_fringe(
 
 
 def simulate_link_pairs(
-    setup: LinkConfig | ModePair, t: float, *, trials: int, seed: int, chunk_size: int = _DEFAULT_CHUNK
+    setup: LinkConfig, t: float, *, trials: int, seed: int, chunk_size: int = _DEFAULT_CHUNK
 ) -> CountsRecord:
-    """Pair-count-mode run of a link or mode pair (conditional p_ij tallies)."""
+    """Pair-count-mode run of a two-arm setup (conditional p_ij tallies)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     proto = _protocol(setup, t)
@@ -527,7 +516,7 @@ def simulate_link_pairs(
     for _, u in _chunks(seed, STREAM_PAIRS, trials, chunk_size):
         heralded, click_a, click_b = _pair_batch(proto, u)
         tallies += np.bincount(2 * click_a[heralded] + click_b[heralded], minlength=4)
-    # channel a is the left node / MFI mode: index i of p_ij
+    # channel a is arm a (node_l, mode_l): index i of p_ij
     n00, n01, n10, n11 = tallies.tolist()
     return CountsRecord(
         pair_trials=trials, pair_heralds=n00 + n01 + n10 + n11, pij_counts=PairCounts(n00, n01, n10, n11)
@@ -535,9 +524,9 @@ def simulate_link_pairs(
 
 
 def simulate_link_correlation(
-    setup: LinkConfig | ModePair, t: float, *, trials: int, seed: int, chunk_size: int = _DEFAULT_CHUNK
+    setup: LinkConfig, t: float, *, trials: int, seed: int, chunk_size: int = _DEFAULT_CHUNK
 ) -> CountsRecord:
-    """Correlation-mode run of a link or mode pair (per-channel g tallies)."""
+    """Correlation-mode run of a two-arm setup (per-channel g tallies)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     proto = _protocol(setup, t)

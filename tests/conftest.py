@@ -5,9 +5,9 @@ from dlcz_link import (
     EnsembleParams,
     ExponentialEfficiency,
     LinkConfig,
-    ModePair,
     NoiseField,
     SpinWaveMode,
+    Topology,
 )
 
 
@@ -35,19 +35,24 @@ def link_at(node: EnsembleParams, mode: SpinWaveMode, sigma_b: float, **kw) -> L
 
 
 @pytest.fixture()
-def measured_pair() -> ModePair:
-    """The measured single-ensemble parameter set (per-mode efficiencies)."""
+def measured_pair() -> LinkConfig:
+    """The measured single-ensemble mixed pairing: arm a MFI, arm b MFS, one field."""
     decay = ExponentialEfficiency(tau_d=1.0e-3)
     common = dict(chi=0.005, xi_se=0.26, eta=0.4, decay=decay)
-    return ModePair(
-        mfi=EnsembleParams(gamma_0=0.22, z_noise=3.1e-4, **common),
-        mfs=EnsembleParams(gamma_0=0.17, z_noise=3.3e-4, **common),
-        mode_mfi=SpinWaveMode.mfi(),
-        mode_mfs=SpinWaveMode.mfs(),
-        noise=NoiseField(sigma_b=2.25e-3),
+    return LinkConfig(
+        node_l=EnsembleParams(gamma_0=0.22, z_noise=3.1e-4, **common),
+        node_r=EnsembleParams(gamma_0=0.17, z_noise=3.3e-4, **common),
+        mode_l=SpinWaveMode.mfi(),
+        mode_r=SpinWaveMode.mfs(),
+        noise=NoiseField(sigma_b=2.25e-3, topology=Topology.SHARED),
         zeta=0.85,
         xi_prime=0.88,
     )
+
+
+def matched_pairing(pair: LinkConfig) -> LinkConfig:
+    """Both arms of a mode pair stored in its MFS mode (arm b): no extra contrast loss."""
+    return LinkConfig.symmetric(pair.node_r, pair.noise, pair.mode_r, zeta=pair.zeta)
 
 
 def assert_within_se(value: float, expected: float, std_error: float, n_se: float = 3.0) -> None:

@@ -37,6 +37,7 @@ from dlcz_link.analysis import DecaySeries
 from dlcz_link.cli import main
 from dlcz_link.config import default_config
 
+from conftest import matched_pairing
 from oracles import difference_phase_average_quadrature
 
 
@@ -109,7 +110,7 @@ def test_criterion_4_mc_closed_form_equivalence():
     # sigma_delta grid {0, 2, 4} mG; the shared row keeps the 2 mG clock
     for ci, sigma_b in enumerate((0.0, 1e-3, 2e-3)):
         cfg = lattice_link(eta=0.4, sigma_b=sigma_b, zeta=1.0)
-        tau_0 = model.link_dephasing_lifetime(cfg)
+        tau_0 = model.link_curves(cfg, 0.0).tau_0
         clock = tau_0 if math.isfinite(tau_0) else tau_ref
         node = cfg.node_l
         for k, frac in enumerate((0.0, 0.5, 1.0, 2.0)):
@@ -160,7 +161,7 @@ def test_criterion_5_shared_supply_protection():
     shared_ok = diff <= 3.0 * se_diff
 
     cfg = lattice_link(eta=0.4, sigma_b=4e-3, zeta=0.85, topology=Topology.INDEPENDENT)
-    tau_0 = model.link_dephasing_lifetime(cfg)  # sigma_delta = 8 mG
+    tau_0 = model.link_curves(cfg, 0.0).tau_0  # sigma_delta = 8 mG
     v0 = st.estimate_visibility(st.simulate_link_fringe(cfg, 0.0, trials_per_theta=200_000, seed=9))
     v1 = st.estimate_visibility(st.simulate_link_fringe(cfg, tau_0, trials_per_theta=200_000, seed=10))
     ratio = v1.value / v0.value
@@ -253,8 +254,8 @@ def test_criterion_7_fit_recovery():
 
 def test_criterion_8_mode_pair_crossing_order():
     pair = default_config().mode_pair
-    mixed = analysis.mode_pair_lifetime(pair, "mixed")
-    matched = analysis.mode_pair_lifetime(pair, "matched")
+    mixed = analysis.entanglement_lifetime(pair, xtol=1e-7)
+    matched = analysis.entanglement_lifetime(matched_pairing(pair), xtol=1e-7)
     ratio = matched / mixed
     ok = ratio >= 10.0
     assert report(

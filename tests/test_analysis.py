@@ -16,7 +16,7 @@ from dlcz_link import (
 from dlcz_link import analysis, model
 from dlcz_link.analysis import DecaySeries, FitError
 
-from conftest import link_at
+from conftest import link_at, matched_pairing
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -227,12 +227,8 @@ class TestTable:
 
 class TestModePairLifetime:
     def test_mixed_crosses_far_earlier_than_matched(self, measured_pair):
-        mixed = analysis.mode_pair_lifetime(measured_pair, "mixed")
-        matched = analysis.mode_pair_lifetime(measured_pair, "matched")
+        mixed = analysis.entanglement_lifetime(measured_pair, xtol=1e-7)
+        matched = analysis.entanglement_lifetime(matched_pairing(measured_pair), xtol=1e-7)
         assert 20e-6 < mixed < 200e-6
         assert matched > 1e-3
         assert matched / mixed > 10.0
-
-    def test_unknown_pairing(self, measured_pair):
-        with pytest.raises(ValueError):
-            analysis.mode_pair_lifetime(measured_pair, "sideways")

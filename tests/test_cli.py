@@ -204,6 +204,14 @@ class TestFitCommand:
         assert rec["xi_prime"]["rel_error"] < 0.05
         assert rec["tau_0"]["rel_error"] < 0.05
 
+    def test_gaussian_decay_law_is_fitted_as_gaussian(self, tmp_path):
+        cfg = write_config(tmp_path, {"single_ensemble": {"decay_law": "gaussian"}})
+        out = tmp_path / "fit.json"
+        assert run_cli(["fit", "--config", cfg, "--output", str(out), "--format", "json"]) == 0
+        doc = json.loads(out.read_text())
+        rec = {row[0]: dict(zip(doc["columns"], row)) for row in doc["rows"]}
+        assert rec["decay_tau"]["rel_error"] < 0.01
+
     def test_insensitive_pair_is_exit_1(self, tmp_path, capsys):
         # mu'_mfs = mu'_mfi = 0: nothing dephases, so no sigma_b can be inferred
         cfg = write_config(tmp_path, {"single_ensemble": {"mu_prime_mfs": 0.0}})

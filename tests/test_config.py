@@ -34,15 +34,16 @@ class TestDefaults:
 
     def test_single_ensemble_defaults(self):
         cfg = default_config()
-        pair = cfg.mode_pair
-        assert pair.mfi.gamma_0 == 0.22
-        assert pair.mfs.gamma_0 == 0.17
-        assert pair.mfi.z_noise == 3.1e-4
-        assert pair.mfs.z_noise == 3.3e-4
+        pair = cfg.mode_pair  # arm a MFI, arm b MFS
+        assert pair.node_l.gamma_0 == 0.22
+        assert pair.node_r.gamma_0 == 0.17
+        assert pair.node_l.z_noise == 3.1e-4
+        assert pair.node_r.z_noise == 3.3e-4
         assert pair.xi_prime == 0.88
         assert pair.noise.sigma_b == 2.25e-3
-        assert pair.mode_mfi.mu_prime == 0.0
-        assert pair.mode_mfs.mu_prime == pytest.approx(1.39962e6, rel=1e-4)
+        assert pair.noise.topology is Topology.SHARED
+        assert pair.mode_l.mu_prime == 0.0
+        assert pair.mode_r.mu_prime == pytest.approx(1.39962e6, rel=1e-4)
 
     def test_symmetry_of_default_link(self):
         cfg = default_config()

@@ -25,7 +25,7 @@ from dlcz_link import (
 )
 from dlcz_link import model
 
-from conftest import link_at
+from conftest import link_at, matched_pairing
 from oracles import difference_phase_average_quadrature, phase_average_quadrature
 
 
@@ -380,20 +380,25 @@ class TestLinkCurves:
 class TestModePairCurves:
     def test_matched_pairing_has_no_dephasing_factor(self, measured_pair):
         t = np.linspace(0.0, 2e-3, 40)
-        pt = model.mode_pair_curves(measured_pair, t)
-        expected = measured_pair.zeta * (pt.g_mfs - 1.0) / (pt.g_mfs + 1.0)
-        np.testing.assert_allclose(pt.v_matched, expected, rtol=1e-12)
+        pt = model.link_curves(matched_pairing(measured_pair), t)
+        g_mfs = model.cross_correlation(measured_pair.node_r, t)
+        expected = measured_pair.zeta * (g_mfs - 1.0) / (g_mfs + 1.0)
+        np.testing.assert_allclose(pt.visibility, expected, rtol=1e-12)
 
     def test_mixed_pairing_dephases_at_fitted_rate(self, measured_pair):
-        pt0 = model.mode_pair_curves(measured_pair, 0.0)
+        pt0 = model.link_curves(measured_pair, 0.0)
         assert pt0.tau_0 == pytest.approx(50.54e-6, rel=1e-3)
         t = pt0.tau_0
-        pt = model.mode_pair_curves(measured_pair, t)
-        g_bar = 0.5 * (float(pt.g_mfi) + float(pt.g_mfs))
+        pt = model.link_curves(measured_pair, t)
+        g_bar = 0.5 * (
+            float(model.cross_correlation(measured_pair.node_l, t))
+            + float(model.cross_correlation(measured_pair.node_r, t))
+        )
         undamped = measured_pair.zeta * measured_pair.xi_prime * (g_bar - 1.0) / (g_bar + 1.0)
-        assert float(pt.v_mixed) == pytest.approx(undamped * math.exp(-1.0), rel=1e-12)
+        assert float(pt.visibility) == pytest.approx(undamped * math.exp(-1.0), rel=1e-12)
 
     def test_zero_delay_efficiencies(self, measured_pair):
-        pt = model.mode_pair_curves(measured_pair, 0.0)
-        assert float(pt.gamma_mfi) == 0.22
-        assert float(pt.gamma_mfs) == 0.17
+        # per-mode gamma_0, and their arm average in the two-arm closed form
+        for node, gamma_0 in ((measured_pair.node_l, 0.22), (measured_pair.node_r, 0.17)):
+            assert float(model.retrieval_efficiency(node.gamma_0, node.decay, 0.0)) == gamma_0
+        assert float(model.link_curves(measured_pair, 0.0).gamma) == 0.5 * (0.22 + 0.17)

@@ -3,6 +3,7 @@ and estimator behaviour. Statistical assertions run at pinned seeds with
 3-standard-error tolerances.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from dlcz_link import (
     EnsembleParams,
     ExponentialEfficiency,
     LinkConfig,
-    ModePair,
     NoiseField,
     SpinWaveMode,
     Topology,
@@ -61,7 +61,7 @@ class TestLorentzianSampling:
 
     def test_quantile_at_three_quarters(self):
         # tan(pi/4) = 1, so u = 0.75 maps to sigma itself
-        assert st.lorentzian_from_uniform(2.5e-3, 0.75) == pytest.approx(2.5e-3, rel=1e-12)
+        np.testing.assert_allclose(st.lorentzian_from_uniform(2.5e-3, np.array([0.75])), [2.5e-3], rtol=1e-12)
 
     def test_median_absolute_value(self):
         # half of all draws fall within one width of zero (Cauchy CDF)
@@ -98,7 +98,7 @@ class TestLinkPhases:
     def test_independent_difference_dephases_like_double_width(self, plain_link):
         # mean cos(phase difference) at t = tau_0 is e^{-1}: the difference
         # of two node fields is Lorentzian with twice the width
-        tau_0 = model.link_dephasing_lifetime(plain_link)
+        tau_0 = model.link_curves(plain_link, 0.0).tau_0
         u = st.trial_uniforms(31, 0, 100_000)
         db_l = st.lorentzian_from_uniform(1e-3, u[:, 6])
         db_r = st.lorentzian_from_uniform(1e-3, u[:, 7])
@@ -176,34 +176,35 @@ class TestSingleEnsembleTrial:
         # exactly, so runs at different widths are bit-identical
         records = []
         for sigma_b in (0.0, 4e-3):
-            pair = ModePair(
-                mfi=measured_pair.mfs, mfs=measured_pair.mfs,
-                mode_mfi=SpinWaveMode.mfs(), mode_mfs=SpinWaveMode.mfs(),
-                noise=NoiseField(sigma_b=sigma_b), zeta=0.85,
+            pair = LinkConfig.symmetric(
+                measured_pair.node_r, NoiseField(sigma_b=sigma_b, topology=Topology.SHARED),
+                SpinWaveMode.mfs(), zeta=0.85,
             )
             records.append(st.simulate_link_fringe(pair, 50e-6, trials_per_theta=20_000, seed=13))
         assert records[0] == records[1]
 
-    def test_mixed_pairing_damps_by_e_at_tau0(self, measured_pair):
-        tau_0 = model.mode_pair_curves(measured_pair, 0.0).tau_0
-        rec = st.simulate_link_fringe(measured_pair, tau_0, trials_per_theta=150_000, seed=37)
-        vis = st.estimate_visibility(rec)
-        expected = float(model.mode_pair_curves(measured_pair, tau_0).v_mixed)
-        assert_within_se(vis.value, expected, vis.std_error)
+    def test_mixed_pairing_damps_by_e_at_tau0(self, measured_pair, lattice_node):
+        # the mode pair, and a shared-supply link whose arms differ in mu':
+        # one field sample dephases both with |mu'_a - mu'_b| sigma_b
+        shared_link = LinkConfig(
+            node_l=lattice_node, node_r=lattice_node,
+            noise=NoiseField(sigma_b=2e-3, topology=Topology.SHARED),
+            mode_l=SpinWaveMode(mu_prime=0.0), mode_r=SpinWaveMode(mu_prime=5000.0), zeta=0.85,
+        )
+        for setup in (measured_pair, shared_link):
+            tau_0 = model.link_curves(setup, 0.0).tau_0
+            delta_mu = abs(setup.mode_l.mu_prime - setup.mode_r.mu_prime)
+            assert tau_0 == 1.0 / (2.0 * math.pi * delta_mu * setup.noise.sigma_b)
+            rec = st.simulate_link_fringe(setup, tau_0, trials_per_theta=150_000, seed=37)
+            vis = st.estimate_visibility(rec)
+            expected = float(model.link_curves(setup, tau_0).visibility)
+            assert_within_se(vis.value, expected, vis.std_error)
 
     def test_zero_time_pairings_identical(self, measured_pair):
         # at t = 0 no phase has accumulated: with equal contrast the mixed
         # and matched pairings generate identical statistics (same draws)
-        mixed = ModePair(
-            mfi=measured_pair.mfi, mfs=measured_pair.mfs,
-            mode_mfi=SpinWaveMode.mfi(), mode_mfs=SpinWaveMode.mfs(),
-            noise=measured_pair.noise, zeta=0.85, xi_prime=1.0,
-        )
-        matched = ModePair(
-            mfi=measured_pair.mfi, mfs=measured_pair.mfs,
-            mode_mfi=SpinWaveMode.mfs(), mode_mfs=SpinWaveMode.mfs(),
-            noise=measured_pair.noise, zeta=0.85, xi_prime=1.0,
-        )
+        mixed = dataclasses.replace(measured_pair, xi_prime=1.0)
+        matched = dataclasses.replace(measured_pair, mode_l=SpinWaveMode.mfs(), xi_prime=1.0)
         a = st.simulate_link_fringe(mixed, 0.0, trials_per_theta=20_000, seed=2)
         b = st.simulate_link_fringe(matched, 0.0, trials_per_theta=20_000, seed=2)
         assert a == b
