@@ -14,6 +14,16 @@ therefore bit-identical for a given seed no matter how trials are chunked,
 scheduled or parallelized (``chunk_size=1`` runs one trial at a time);
 accumulation is plain integer addition and is order-independent.
 
+The drivers are herald-first: each chunk runs the row kernels only on its
+candidate trials, those holding a pair in either arm (n_a >= 1 or
+n_b >= 1, read from the thresholds of the pair-number draw) or with a
+noise uniform below the largest noise click probability. A trial without
+a pair can neither herald nor retrieve, so it can only click through a
+noise channel, and one whose noise uniforms all lie above every noise
+probability gives False in every kernel. Since each row depends only on
+its own uniforms, skipping those trials leaves every tally as the kernels
+give it over all rows, at about 2 chi of the per-row work.
+
 Three measurement modes mirror the three detector configurations of the
 experiment, one ``simulate_link_*`` function each:
 
@@ -201,12 +211,35 @@ def lorentzian_from_uniform(sigma: float, u: np.ndarray) -> np.ndarray:
     return sigma * np.tan(np.pi * (u - 0.5))
 
 
-def _thermal_counts(u: np.ndarray, chi: float) -> np.ndarray:
-    """Pair number per trial: P(n) proportional to chi^n, truncated at n = 2."""
+def _thermal_thresholds(chi: float) -> tuple[float, float]:
+    """Uniform thresholds P(n = 0) and P(n <= 1) of the pair-number law."""
     norm = 1.0 + chi + chi * chi
     p0 = 1.0 / norm
-    p1 = p0 + chi / norm
+    return p0, p0 + chi / norm
+
+
+def _thermal_counts(u: np.ndarray, chi: float) -> np.ndarray:
+    """Pair number per trial: P(n) proportional to chi^n, truncated at n = 2."""
+    p0, p1 = _thermal_thresholds(chi)
     return (u >= p0).astype(np.int8) + (u >= p1).astype(np.int8)
+
+
+def _candidates(proto: _Protocol, u: np.ndarray) -> np.ndarray:
+    """Mask of the trials whose rows can add to a tally.
+
+    A trial with a pair in neither arm can neither herald nor retrieve: it
+    clicks only through a noise channel whose uniform lies below the
+    channel's click probability, and no kernel gives a noise channel more
+    than ``noise_max`` (fringe mode halves it). Such a trial with every
+    noise uniform at or above ``noise_max`` is False in every kernel output.
+    """
+    a, b = proto.arm_a, proto.arm_b
+    noise_max = max(p * arm.eta for arm in (a, b) for p in (arm.se_noise, arm.z_noise))
+    live = u[:, _COL_N_A] >= _thermal_thresholds(a.chi)[0]
+    live |= u[:, _COL_N_B] >= _thermal_thresholds(b.chi)[0]
+    for col in (_COL_SE_A, _COL_SE_B, _COL_BG_A, _COL_BG_B):
+        live |= u[:, col] < noise_max
+    return live
 
 
 def _stokes_ports(u: np.ndarray, n: np.ndarray, cols: tuple[int, int], eta: float):
@@ -486,8 +519,9 @@ def simulate_link_fringe(
     tallies = np.zeros((4, n_bins), dtype=np.int64)
     n_as1 = 0
     for start, u in _chunks(seed, STREAM_FRINGE, total, chunk_size):
-        idx = np.arange(start, start + len(u)) // trials_per_theta
-        s1, s2, c1 = _fringe_batch(proto, thetas[idx], u)
+        rows = np.flatnonzero(_candidates(proto, u))
+        idx = (start + rows) // trials_per_theta
+        s1, s2, c1 = _fringe_batch(proto, thetas[idx], u[rows])
         n_as1 += int(c1.sum())
         # D_S2-only heralds give the phase-flipped fringe; kept disjoint from
         # the primary D_S1 tallies so the two estimates are independent
@@ -514,7 +548,7 @@ def simulate_link_pairs(
     proto = _protocol(setup, t)
     tallies = np.zeros(4, dtype=np.int64)  # 00, 01, 10, 11
     for _, u in _chunks(seed, STREAM_PAIRS, trials, chunk_size):
-        heralded, click_a, click_b = _pair_batch(proto, u)
+        heralded, click_a, click_b = _pair_batch(proto, u[_candidates(proto, u)])
         tallies += np.bincount(2 * click_a[heralded] + click_b[heralded], minlength=4)
     # channel a is arm a (node_l, mode_l): index i of p_ij
     n00, n01, n10, n11 = tallies.tolist()
@@ -532,7 +566,7 @@ def simulate_link_correlation(
     proto = _protocol(setup, t)
     sums = np.zeros((2, 3), dtype=np.int64)  # per channel: stokes, anti-stokes, coincidence
     for _, u in _chunks(seed, STREAM_CORRELATION, trials, chunk_size):
-        for ch, (s_click, as_click) in enumerate(_correlation_batch(proto, u)):
+        for ch, (s_click, as_click) in enumerate(_correlation_batch(proto, u[_candidates(proto, u)])):
             sums[ch] += (s_click.sum(), as_click.sum(), (s_click & as_click).sum())
     return CountsRecord(
         correlation_trials=trials,
@@ -565,9 +599,11 @@ def estimate_visibility(
     than the fringe extrema). ``method="extrema"`` gives the max/min
     cross-check estimator instead.
     """
-    bins = counts.theta_bins if port == "s1" else counts.theta_bins_alt
     if port not in ("s1", "s2"):
         raise ValueError("port must be 's1' or 's2'")
+    if method not in ("fit", "extrema"):
+        raise ValueError("method must be 'fit' or 'extrema'")
+    bins = counts.theta_bins if port == "s1" else counts.theta_bins_alt
     if len(bins) < 8:
         raise ValueError("need at least 8 theta bins spanning [0, 2 pi)")
     span = max(b.theta for b in bins) - min(b.theta for b in bins)
@@ -592,8 +628,6 @@ def estimate_visibility(
         ddb = 2.0 * a_r / (a_r + b_r) ** 2
         se = math.sqrt(dda**2 * var_hi + ddb**2 * var_lo)
         return VisibilityEstimate(value=value, std_error=se, offset=(a_r + b_r) / 2, amplitude=(a_r - b_r) / 2)
-    if method != "fit":
-        raise ValueError("method must be 'fit' or 'extrema'")
 
     design = np.column_stack([np.ones_like(thetas), np.cos(thetas)])
     beta, *_ = np.linalg.lstsq(design, rates, rcond=None)

@@ -170,6 +170,82 @@ class TestLinkTrial:
             st.simulate_link_fringe(cfg, 0.0, trials_per_theta=10, seed=1)
 
 
+def dense_records(setup: LinkConfig, t: float, *, trials_per_theta: int, trials: int, seed: int, thetas: np.ndarray):
+    """Fringe, pair and correlation records from the row kernels applied to every trial.
+
+    The dense driver, one chunk with every trial through the full click
+    logic, is the oracle of the engine's herald-first drivers.
+    """
+    proto = st._protocol(setup, t)
+    n_bins = thetas.size
+    total = n_bins * trials_per_theta
+    idx = np.arange(total) // trials_per_theta
+    s1, s2, c1 = st._fringe_batch(proto, thetas[idx], st.trial_uniforms(seed, 0, total, st.STREAM_FRINGE))
+    alt = s2 & ~s1
+    her, coin, her_alt, coin_alt = (
+        np.bincount(idx[flags], minlength=n_bins).tolist() for flags in (s1, s1 & c1, alt, alt & c1)
+    )
+    th = thetas.tolist()
+    fringe = st.CountsRecord(
+        n_trials=total,
+        n_heralds=sum(her),
+        n_as1_clicks=int(c1.sum()),
+        theta_bins=list(map(st.ThetaBin, th, coin, her)),
+        theta_bins_alt=list(map(st.ThetaBin, th, coin_alt, her_alt)),
+    )
+
+    heralded, click_a, click_b = st._pair_batch(proto, st.trial_uniforms(seed, 0, trials, st.STREAM_PAIRS))
+    n00, n01, n10, n11 = np.bincount(2 * click_a[heralded] + click_b[heralded], minlength=4).tolist()
+    pairs = st.CountsRecord(
+        pair_trials=trials, pair_heralds=n00 + n01 + n10 + n11, pij_counts=st.PairCounts(n00, n01, n10, n11)
+    )
+
+    channels = st._correlation_batch(proto, st.trial_uniforms(seed, 0, trials, st.STREAM_CORRELATION))
+    correlation = st.CountsRecord(
+        correlation_trials=trials,
+        correlation=tuple(
+            st.ChannelTallies(trials, int(s.sum()), int(a.sum()), int((s & a).sum())) for s, a in channels
+        ),
+    )
+    return fringe, pairs, correlation
+
+
+class TestHeraldFirst:
+    """Running the click logic only on trials that hold a pair changes no tally."""
+
+    @staticmethod
+    def link(chi_a: float, chi_b: float, topology: Topology, jitter: float) -> LinkConfig:
+        def node(chi):
+            # background raised tenfold so that trials without a pair click often
+            return EnsembleParams(chi=chi, gamma_0=0.76, decay=ExponentialEfficiency(0.41), xi_se=0.26,
+                                  z_noise=3e-3, eta=0.4)
+
+        mode = SpinWaveMode(mu_prime=5000.0)
+        return LinkConfig(node_l=node(chi_a), node_r=node(chi_b), mode_l=mode, mode_r=mode,
+                          noise=NoiseField(sigma_b=2e-3, topology=topology), zeta=0.85,
+                          residual_phase_jitter=jitter)
+
+    # chi = 0.3 leaves the closed form's regime on purpose: a third of the
+    # trials hold a pair, so every branch of the kernels is populated
+    @pytest.mark.filterwarnings("ignore:chi = .* is outside:UserWarning")
+    @pytest.mark.parametrize("jitter", [0.0, 0.3])
+    @pytest.mark.parametrize("topology", [Topology.INDEPENDENT, Topology.SHARED])
+    @pytest.mark.parametrize("chi_a, chi_b", [(0.0, 0.0), (0.005, 0.005), (0.3, 0.3), (0.002, 0.05)])
+    def test_records_equal_dense_oracle(self, chi_a, chi_b, topology, jitter):
+        setup = self.link(chi_a, chi_b, topology, jitter)
+        t, seed, thetas = 5e-3, 61, st.default_thetas(12)
+        # a chunk size that divides neither the bin width nor the total, so
+        # chunk starts fall inside theta bins
+        kw = dict(seed=seed, chunk_size=7001)
+        fringe, pairs, correlation = dense_records(
+            setup, t, trials_per_theta=4000, trials=30_000, seed=seed, thetas=thetas
+        )
+        assert fringe.n_as1_clicks > 0 and correlation.correlation[0].n_anti_stokes > 0
+        assert st.simulate_link_fringe(setup, t, trials_per_theta=4000, thetas=thetas, **kw) == fringe
+        assert st.simulate_link_pairs(setup, t, trials=30_000, **kw) == pairs
+        assert st.simulate_link_correlation(setup, t, trials=30_000, **kw) == correlation
+
+
 class TestSingleEnsembleTrial:
     def test_matched_pairing_immune_to_field_noise(self, measured_pair):
         # same magnetic character in both modes: the shared field cancels
@@ -244,11 +320,29 @@ class TestEstimators:
         with pytest.raises(ValueError):
             st.estimate_visibility(short)
 
-    def test_empty_bin_rejected(self):
+    @staticmethod
+    def record_with_empty_bin() -> st.CountsRecord:
         bins = [st.ThetaBin(float(th), 0, 1 if i else 0) for i, th in enumerate(st.default_thetas(12))]
-        rec = st.CountsRecord(n_trials=11, n_heralds=11, theta_bins=bins)
+        return st.CountsRecord(n_trials=11, n_heralds=11, theta_bins=bins)
+
+    def test_empty_bin_rejected(self):
         with pytest.raises(ValueError):
-            st.estimate_visibility(rec)
+            st.estimate_visibility(self.record_with_empty_bin())
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(port="s3"), "port must be"),
+            (dict(method="bogus"), "method must be"),
+            (dict(port="s3", method="bogus"), "port must be"),
+        ],
+    )
+    def test_arguments_checked_before_bins(self, kw, message):
+        # the arguments are named even on a record no estimator could use
+        with pytest.raises(ValueError, match=message):
+            st.estimate_visibility(self.record_with_empty_bin(), **kw)
+        with pytest.raises(ValueError, match=message):
+            st.estimate_visibility(self.synthetic_record(0.5), **kw)
 
     def test_mc_against_closed_form(self, plain_link, lattice_node):
         t = 8e-3
