@@ -3,7 +3,8 @@
 Fits are damped least squares (scipy's Levenberg-Marquardt) restarted from
 a coarse grid of initial guesses; decay rates are fitted as rates (1/tau)
 so that flat data lands on the exact infinite-lifetime sentinel instead of
-a large float.
+a large float. scipy is imported only by the paths that need it, the fits
+and the lifetime root, so importing this module does not load it.
 
 One lifetime root, :func:`entanglement_lifetime`, serves every two-arm
 :class:`~dlcz_link.params.LinkConfig`: a two-node link or a pair of modes
@@ -21,7 +22,6 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, brentq, curve_fit
 
 from . import model
 from .params import LinkConfig, NoiseField
@@ -96,6 +96,9 @@ def _multistart_fit(
     sigma: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Levenberg-Marquardt from several starting points; best residual wins."""
+    # imported here: scipy.optimize costs ~0.4 s to load, paid only by fits
+    from scipy.optimize import OptimizeWarning, curve_fit
+
     best = None
     for p0 in starts:
         try:
@@ -241,6 +244,9 @@ def _first_zero(inner: Callable[[float], float], xtol: float, t_max: float) -> f
     Expands the bracket geometrically, bisects to ``xtol`` and verifies the
     function stays non-positive beyond the root on the bracket used.
     """
+    # imported here: scipy.optimize costs ~0.4 s to load, paid only by lifetime roots
+    from scipy.optimize import brentq
+
     f0 = inner(0.0)
     if f0 <= 0.0:
         raise ValueError("link never entangled under these parameters (C(0) = 0)")

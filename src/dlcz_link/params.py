@@ -27,11 +27,11 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 
-import scipy.constants as _const
-
 #: Bohr magneton over Planck constant in Hz/G: the magnetic sensitivity of a
-#: |Delta m_F| = 2 ground-state alkali coherence.
-BOHR_MAGNETON_HZ_PER_G = _const.physical_constants["Bohr magneton in Hz/T"][0] * 1e-4
+#: |Delta m_F| = 2 ground-state alkali coherence. CODATA 2022 (Hz/T, times
+#: 1e-4 T/G) as shipped by scipy 1.17.1; pinned as a literal so that CLI
+#: output does not drift with scipy releases.
+BOHR_MAGNETON_HZ_PER_G = 13996244917.1 * 1e-4
 
 
 class Topology(str, Enum):

@@ -46,6 +46,9 @@ multi-pair components, retrieval noise and backgrounds pick beam-splitter
 ports at random (phase-incoherent, additive), and the retrieval-noise
 channel fires per node with the trial-averaged probability
 chi (1 - gamma(t)) xi_se, uncorrelated with the herald.
+
+scipy is imported only by the path that needs it: the Gaussian quantile of
+the phase jitter, in fringe runs with ``jitter_rms > 0``.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import model
 from .params import EnsembleParams, LinkConfig, SpinWaveMode, Topology
@@ -283,6 +285,9 @@ def _fringe_batch(proto: _Protocol, theta: np.ndarray, u: np.ndarray):
     db_a, db_b = _field_samples(u, proto)
     phase = 2.0 * np.pi * proto.time * (a.mu_prime * db_a - b.mu_prime * db_b) + theta
     if proto.jitter_rms > 0.0:
+        # imported here: scipy.special costs ~0.2 s to load, paid only by jittered runs
+        from scipy.special import ndtri
+
         phase = phase + proto.jitter_rms * ndtri(u[:, _COL_JITTER])
 
     total = n_a + n_b
@@ -528,6 +533,7 @@ def simulate_link_fringe(
         alt = s2 & ~s1
         for row, flags in enumerate((s1, s1 & c1, alt, alt & c1)):
             tallies[row] += np.bincount(idx[flags], minlength=n_bins)
+        del u  # free this chunk before _chunks draws the next one
     th = thetas.tolist()
     her, coin, her_alt, coin_alt = tallies.tolist()
     return CountsRecord(
@@ -550,6 +556,7 @@ def simulate_link_pairs(
     for _, u in _chunks(seed, STREAM_PAIRS, trials, chunk_size):
         heralded, click_a, click_b = _pair_batch(proto, u[_candidates(proto, u)])
         tallies += np.bincount(2 * click_a[heralded] + click_b[heralded], minlength=4)
+        del u  # free this chunk before _chunks draws the next one
     # channel a is arm a (node_l, mode_l): index i of p_ij
     n00, n01, n10, n11 = tallies.tolist()
     return CountsRecord(
@@ -568,6 +575,7 @@ def simulate_link_correlation(
     for _, u in _chunks(seed, STREAM_CORRELATION, trials, chunk_size):
         for ch, (s_click, as_click) in enumerate(_correlation_batch(proto, u[_candidates(proto, u)])):
             sums[ch] += (s_click.sum(), as_click.sum(), (s_click & as_click).sum())
+        del u  # free this chunk before _chunks draws the next one
     return CountsRecord(
         correlation_trials=trials,
         correlation=tuple(ChannelTallies(trials, *row) for row in sums.tolist()),
@@ -652,24 +660,16 @@ class CorrelationEstimate:
     std_error: float
 
 
-def estimate_cross_correlation(counts: CountsRecord, channel: str = "both") -> CorrelationEstimate:
+def estimate_cross_correlation(counts: CountsRecord) -> CorrelationEstimate:
     """Cross-correlation g = P_coincidence / (P_stokes P_anti_stokes).
 
-    ``channel`` selects one retrieval channel ("a"/"b") or pools both
-    (valid for a symmetric link). The error treats the three tallies as
-    independent Poisson counts, adequate in the rare-coincidence regime.
+    The tallies of both retrieval channels are pooled, which is valid for a
+    symmetric link. The error treats the three tallies as independent
+    Poisson counts, adequate in the rare-coincidence regime.
     """
     if counts.correlation is None:
         raise ValueError("record holds no correlation-mode tallies")
-    ch_a, ch_b = counts.correlation
-    if channel == "a":
-        chans = [ch_a]
-    elif channel == "b":
-        chans = [ch_b]
-    elif channel == "both":
-        chans = [ch_a, ch_b]
-    else:
-        raise ValueError("channel must be 'a', 'b' or 'both'")
+    chans = counts.correlation
     pulses = sum(c.n_pulses for c in chans)
     n_s = sum(c.n_stokes for c in chans)
     n_as = sum(c.n_anti_stokes for c in chans)

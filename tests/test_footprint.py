@@ -1,0 +1,62 @@
+"""Process footprint: which libraries the CLI loads and how much memory the engine holds.
+
+Each check runs in a fresh interpreter, since both ``sys.modules`` and the
+peak resident set of the test process carry the history of every test
+before it.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from dlcz_link import stochastic as st
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(code: str) -> str:
+    """stdout of ``code`` run by a fresh interpreter that imports from ``src/``."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_closed_form_subcommands_load_no_scipy(tmp_path):
+    # curve and the figures are closed forms over numpy; scipy (about 0.4 s
+    # of imports) is for fits, lifetime roots and jittered fringe runs only
+    code = f"""
+import json, sys
+from dlcz_link import cli
+
+out = {str(tmp_path / "out.csv")!r}
+for argv in [["curve"]] + [["figure", "--figure-id", fid] for fid in cli.FIGURE_IDS]:
+    assert cli.main([*argv, "--output", out]) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+    assert json.loads(run_python(code)) == []
+
+
+def test_drivers_hold_one_uniform_chunk_at_a_time():
+    chunk = 1 << 20
+    chunk_bytes = st.WORDS_PER_TRIAL * 8 * chunk
+    code = f"""
+import resource
+from dlcz_link import stochastic as st
+from dlcz_link.config import default_config
+
+link = default_config().link
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+st.simulate_link_pairs(link, 0.01, trials=3 * {chunk}, seed=1, chunk_size={chunk})
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)
+"""
+    # ru_maxrss is in kB on Linux and in bytes on macOS
+    grown = int(run_python(code)) * (1 if sys.platform == "darwin" else 1024)
+    assert grown < 1.5 * chunk_bytes, f"peak grew by {grown / chunk_bytes:.2f} chunks"
