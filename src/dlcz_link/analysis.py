@@ -123,7 +123,10 @@ def _rate_to_lifetime(rate: float, rate_err: float, t_span: float) -> tuple[floa
         return math.inf, math.inf
     if rate < 0.0:
         raise FitError(f"fitted a negative decay rate ({rate:.3g} 1/s): data grows with time")
-    return 1.0 / rate, rate_err / rate**2
+    try:
+        return 1.0 / rate, rate_err / rate**2
+    except (OverflowError, ZeroDivisionError):  # rate**2 leaves the float range
+        return 1.0 / rate, rate_err / rate / rate
 
 
 def fit_decay(series: DecaySeries, law: str = "exponential") -> FitResult:

@@ -6,6 +6,11 @@ invocations are byte-identical. CSV files are RFC-4180 style (CRLF line
 ends, header row, fixed documented column order) with floats printed to 9
 significant digits; JSON files carry full-precision floats in a
 ``{"columns": [...], "rows": [...]}`` document.
+
+Exit codes: 0 means the output was written; 1 means it was not, and one
+line on stderr starting ``error:`` names the cause (a bad configuration
+key, a failed fit, an unreadable or unwritable path); 2 is an argparse
+usage error.
 """
 
 from __future__ import annotations
@@ -23,13 +28,7 @@ import numpy as np
 
 from . import analysis, model, stochastic
 from .analysis import DecaySeries, FitError
-from .config import (
-    ConfigError,
-    RunConfig,
-    default_config,
-    load_config,
-    sweep_times,
-)
+from .config import ConfigError, RunConfig, config_from_dict, read_config, sweep_times
 from .params import GaussianAmplitude, LinkConfig, NoiseField
 
 FIGURE_IDS = ("4", "5", "6", "7", "8", "S1")
@@ -208,6 +207,11 @@ def cmd_figure(cfg: RunConfig, figure_id: str):
     return columns, rows
 
 
+def _rel_error(fitted: float, true: float) -> float:
+    """|fitted - true| / true; the absolute error when the true value is 0 or infinite."""
+    return abs(fitted - true) / true if true not in (0.0, math.inf) else abs(fitted - true)
+
+
 def cmd_fit(cfg: RunConfig):
     """Round-trip fit demonstration on synthetic noisy data.
 
@@ -233,13 +237,13 @@ def cmd_fit(cfg: RunConfig):
     for name, true in (("decay_amplitude", mfi.gamma_0), ("decay_tau", tau_d)):
         key = "amplitude" if name == "decay_amplitude" else "tau"
         fitted = res.parameters[key]
-        rows.append([name, true, fitted, res.std_errors[key], abs(fitted - true) / true])
+        rows.append([name, true, fitted, res.std_errors[key], _rel_error(fitted, true)])
 
     gamma_mfs = model.retrieval_efficiency(mfs.gamma_0, mfs.decay, t_dec)
     noisy_g = model.cross_correlation(mfs, t_dec) * (1.0 + 0.05 * rng.standard_normal(t_dec.size))
     res = analysis.fit_cross_correlation(DecaySeries(t_dec, noisy_g), gamma_mfs, mfs.chi, mfs.z_noise)
     fitted = res.parameters["xi_se"]
-    rows.append(["xi_se", mfs.xi_se, fitted, res.std_errors["xi_se"], abs(fitted - mfs.xi_se) / mfs.xi_se])
+    rows.append(["xi_se", mfs.xi_se, fitted, res.std_errors["xi_se"], _rel_error(fitted, mfs.xi_se)])
 
     tau_0 = model.link_curves(pair, 0.0).tau_0
     t_vis = np.linspace(0.0, 4.0, 25) * (tau_0 if math.isfinite(tau_0) else tau_d)
@@ -255,9 +259,7 @@ def cmd_fit(cfg: RunConfig):
         ("sigma_b", pair.noise.sigma_b),
     ):
         fitted = res.parameters[name]
-        err = res.std_errors.get(name, float("nan"))
-        rel = abs(fitted - true) / true if true not in (0.0, math.inf) else abs(fitted - true)
-        rows.append([name, true, fitted, err, rel])
+        rows.append([name, true, fitted, res.std_errors.get(name, float("nan")), _rel_error(fitted, true)])
 
     return ["quantity", "true_value", "fitted_value", "std_error", "rel_error"], rows
 
@@ -295,27 +297,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    flags = {
+        "mc": {"seed": args.seed, "trials": args.trials, "theta_points": args.theta_points},
+        "output": {"path": args.output, "format": args.format},
+    }
     try:
-        cfg = load_config(args.config) if args.config else default_config()
-        cfg = cfg.with_overrides(
-            seed=args.seed,
-            trials=args.trials,
-            theta_points=args.theta_points,
-            output_path=args.output,
-            output_format=args.format,
+        cfg = config_from_dict(
+            read_config(args.config) if args.config else {},
+            {name: {k: v for k, v in given.items() if v is not None} for name, given in flags.items()},
         )
-        if args.command == "curve":
-            columns, rows = cmd_curve(cfg)
-        elif args.command == "mc":
-            columns, rows = cmd_mc(cfg)
-        elif args.command == "fit":
-            columns, rows = cmd_fit(cfg)
-        elif args.command == "table1":
-            columns, rows = cmd_table1(cfg)
-        else:
+        if args.command == "figure":
             columns, rows = cmd_figure(cfg, args.figure_id)
+        else:
+            command = {"curve": cmd_curve, "mc": cmd_mc, "fit": cmd_fit, "table1": cmd_table1}[args.command]
+            columns, rows = command(cfg)
         write_output(columns, rows, cfg)
-    except (ConfigError, FitError, ValueError) as exc:
+    except (FitError, ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

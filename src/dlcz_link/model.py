@@ -283,7 +283,9 @@ def link_curves(cfg: LinkConfig, t: ArrayLike) -> LinkPoint:
     mu_a, mu_b = cfg.mode_l.mu_prime, cfg.mode_r.mu_prime
     shared = cfg.noise.topology is Topology.SHARED
     tau_0 = dephasing_lifetime(abs(mu_a - mu_b) if shared else mu_a + mu_b, cfg.noise.sigma_b)
-    contrast = cfg.zeta * cfg.xi_prime * math.exp(-0.5 * cfg.residual_phase_jitter**2)
+    jitter = cfg.residual_phase_jitter
+    # exp(-jitter^2/2) is 0.0 in floats from jitter ~ 39 on; jitter**2 overflows near 1e154
+    contrast = cfg.zeta * cfg.xi_prime * (math.exp(-0.5 * jitter**2) if jitter < 100.0 else 0.0)
     vis = visibility(g, t, tau_0, zeta=contrast)
     p_c = gamma * node_a.eta
     conc = concurrence_param(p_c, vis, g)

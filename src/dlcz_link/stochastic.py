@@ -596,21 +596,15 @@ class VisibilityEstimate:
     amplitude: float
 
 
-def estimate_visibility(
-    counts: CountsRecord, *, port: str = "s1", method: str = "fit"
-) -> VisibilityEstimate:
+def estimate_visibility(counts: CountsRecord, *, port: str = "s1") -> VisibilityEstimate:
     """Visibility of the conditional coincidence fringe.
 
-    The default estimator least-squares fits A + B cos(theta) to the
-    per-bin conditional rates and returns V = |B|/A with the error
-    propagated from per-bin binomial counting statistics (lower variance
-    than the fringe extrema). ``method="extrema"`` gives the max/min
-    cross-check estimator instead.
+    Least-squares fits A + B cos(theta) to the per-bin conditional rates
+    and returns V = |B|/A with the error propagated from per-bin binomial
+    counting statistics (lower variance than the fringe extrema).
     """
     if port not in ("s1", "s2"):
         raise ValueError("port must be 's1' or 's2'")
-    if method not in ("fit", "extrema"):
-        raise ValueError("method must be 'fit' or 'extrema'")
     bins = counts.theta_bins if port == "s1" else counts.theta_bins_alt
     if len(bins) < 8:
         raise ValueError("need at least 8 theta bins spanning [0, 2 pi)")
@@ -623,20 +617,6 @@ def estimate_visibility(
     coinc = np.array([b.n_coincidence for b in bins], dtype=float)
     rates = coinc / heralds
     thetas = np.array([b.theta for b in bins], dtype=float)
-
-    if method == "extrema":
-        hi, lo = int(np.argmax(rates)), int(np.argmin(rates))
-        a_r, b_r = rates[hi], rates[lo]
-        if a_r + b_r == 0.0:
-            raise ValueError("no coincidences recorded; visibility undefined")
-        value = (a_r - b_r) / (a_r + b_r)
-        var_hi = a_r * (1.0 - a_r) / heralds[hi]
-        var_lo = b_r * (1.0 - b_r) / heralds[lo]
-        dda = 2.0 * b_r / (a_r + b_r) ** 2
-        ddb = 2.0 * a_r / (a_r + b_r) ** 2
-        se = math.sqrt(dda**2 * var_hi + ddb**2 * var_lo)
-        return VisibilityEstimate(value=value, std_error=se, offset=(a_r + b_r) / 2, amplitude=(a_r - b_r) / 2)
-
     design = np.column_stack([np.ones_like(thetas), np.cos(thetas)])
     beta, *_ = np.linalg.lstsq(design, rates, rcond=None)
     offset, amplitude = float(beta[0]), float(beta[1])

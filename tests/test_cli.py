@@ -192,6 +192,30 @@ class TestErrors:
         assert run_cli(["curve", "--config", "/nonexistent/cfg.json"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, path",
+        [("--output", "missing/dir/x.csv"), ("--output", "."), ("--config", ".")],
+        ids=["output-in-missing-dir", "output-is-a-dir", "config-is-a-dir"],
+    )
+    def test_unusable_path_is_exit_1(self, tmp_path, capsys, flag, path):
+        target = str(tmp_path / path)
+        assert run_cli(["curve", flag, target]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(tmp_path) in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_flag_is_checked_like_the_file(self, capsys):
+        assert run_cli(["curve", "--theta-points", "4"]) == 1
+        assert capsys.readouterr().err == "error: mc.theta_points: expected an integer >= 8, got 4\n"
+
+    def test_huge_jitter_gives_zero_contrast(self, tmp_path):
+        cfg = write_config(tmp_path, {"link": {"residual_phase_jitter": 1e200}})
+        out = tmp_path / "curve.json"
+        assert run_cli(["curve", "--config", cfg, "--output", str(out), "--format", "json"]) == 0
+        doc = json.loads(out.read_text())
+        assert [row[doc["columns"].index("V")] for row in doc["rows"]] == [0.0] * 200
+
 
 class TestFitCommand:
     def test_recovery_rows(self, tmp_path):
@@ -220,6 +244,17 @@ class TestFitCommand:
         assert err.startswith("error:")
         assert "mu_prime" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["xi_se", "gamma_0_mfi"])
+    def test_zero_true_value_gives_absolute_error(self, tmp_path, key):
+        cfg = write_config(tmp_path, {"single_ensemble": {key: 0}})
+        out = tmp_path / "fit.json"
+        assert run_cli(["fit", "--config", cfg, "--output", str(out), "--format", "json"]) == 0
+        doc = json.loads(out.read_text())
+        rec = {row[0]: dict(zip(doc["columns"], row)) for row in doc["rows"]}
+        name = "xi_se" if key == "xi_se" else "decay_amplitude"
+        assert rec[name]["true_value"] == 0.0
+        assert rec[name]["rel_error"] == abs(rec[name]["fitted_value"])
 
     def test_mfi_more_sensitive_than_mfs(self, tmp_path):
         # the mixed pairing dephases with |mu'_mfs - mu'_mfi| whichever mode leads

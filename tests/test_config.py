@@ -104,6 +104,23 @@ class TestValidation:
         with pytest.raises(ConfigError, match="chi"):
             config_from_dict({"link": {"chi": True}})
 
+    @pytest.mark.parametrize("section", ["link", "single_ensemble"])
+    def test_zero_decay_time_names_the_key(self, section):
+        with pytest.raises(ConfigError, match=rf"^{section}\.tau_d: expected a value > 0\.0, got 0\.0$"):
+            config_from_dict({section: {"tau_d": 0}})
+
+    @pytest.mark.parametrize(
+        "section, key", [("link", "zeta"), ("link", "xi_prime"), ("single_ensemble", "zeta"), ("table1", "t_generation")]
+    )
+    def test_exclusive_lower_bound_is_zero(self, section, key):
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: expected a value > 0\.0, got 0\.0$"):
+            config_from_dict({section: {key: 0.0}})
+        config_from_dict({section: {key: 5e-324}})
+
+    def test_integer_beyond_the_float_range(self):
+        with pytest.raises(ConfigError, match="link.sigma_b: expected a finite number"):
+            config_from_dict({"link": {"sigma_b": 10**400}})
+
 
 class TestLoadConfig:
     def test_round_trip(self, tmp_path):
@@ -119,9 +136,10 @@ class TestLoadConfig:
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError, match="JSON"):
-            load_config(path)
+        for text in (b"{not json", b"\xff{}"):
+            path.write_bytes(text)
+            with pytest.raises(ConfigError, match="JSON"):
+                load_config(path)
 
 
 class TestSweepTimes:
@@ -140,11 +158,21 @@ class TestSweepTimes:
 
 class TestOverrides:
     def test_with_overrides(self):
-        cfg = default_config().with_overrides(seed=99, trials=5000, output_format="json")
+        cfg = config_from_dict({}, {"mc": {"seed": 99, "trials": 5000}, "output": {"format": "json"}})
         assert cfg.mc.seed == 99
         assert cfg.mc.trials == 5000
         assert cfg.output.format == "json"
 
     def test_override_validation(self):
         with pytest.raises(ConfigError, match="trials"):
-            default_config().with_overrides(trials=0)
+            config_from_dict({}, {"mc": {"trials": 0}})
+
+    def test_flag_overrides_the_file_before_any_check(self):
+        cfg = config_from_dict({"mc": {"seed": -1, "trials": 7}}, {"mc": {"seed": 3}})
+        assert (cfg.mc.seed, cfg.mc.trials) == (3, 7)
+
+    def test_flags_are_checked_like_the_file(self):
+        with pytest.raises(ConfigError, match=r"mc\.theta_points: expected an integer >= 8, got 4"):
+            config_from_dict({}, {"mc": {"theta_points": 4}})
+        with pytest.raises(ConfigError, match=r"mc\.bogus: unknown key"):
+            config_from_dict({}, {"mc": {"bogus": 1}})

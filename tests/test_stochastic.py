@@ -306,10 +306,6 @@ class TestEstimators:
         vis = st.estimate_visibility(self.synthetic_record(0.0))
         assert abs(vis.value) < 1e-12
 
-    def test_extrema_cross_check(self):
-        vis = st.estimate_visibility(self.synthetic_record(0.8), method="extrema")
-        assert vis.value == pytest.approx(0.8, abs=1e-10)
-
     def test_requires_enough_bins(self):
         rec = self.synthetic_record(0.5)
         short = st.CountsRecord(
@@ -333,8 +329,6 @@ class TestEstimators:
         "kw, message",
         [
             (dict(port="s3"), "port must be"),
-            (dict(method="bogus"), "method must be"),
-            (dict(port="s3", method="bogus"), "port must be"),
         ],
     )
     def test_arguments_checked_before_bins(self, kw, message):
