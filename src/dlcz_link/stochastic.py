@@ -14,6 +14,18 @@ therefore bit-identical for a given seed no matter how trials are chunked,
 scheduled or parallelized (``chunk_size=1`` runs one trial at a time);
 accumulation is plain integer addition and is order-independent.
 
+Each chunk uses every CPU the process may run on. It is cut into
+contiguous row slices of at most 2^16 rows, and one worker thread per CPU
+(each with at least 2^14 rows) runs two kinds of work on them: the
+slice's Philox fill, from a generator advanced to the slice's first trial
+(numpy releases the interpreter lock while it fills), and the slice's
+candidate mask, row kernels and bincounts, which return int64 partial
+tallies. No slice reads or writes another slice's rows, and the caller
+adds the partial tallies, so records are bit-identical for any number of
+CPUs; with one thread the whole chunk runs inline. The public functions
+(``trial_uniforms``, the ``simulate_link_*`` drivers) still run on the
+calling thread, once per chunk and once per run.
+
 The drivers are herald-first: each chunk runs the row kernels only on its
 candidate trials, those holding a pair in either arm (n_a >= 1 or
 n_b >= 1, read from the thresholds of the pair-number draw) or with a
@@ -54,7 +66,8 @@ the phase jitter, in fringe runs with ``jitter_rms > 0``.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,6 +125,28 @@ STREAM_CORRELATION = 2
 
 _MASK64 = (1 << 64) - 1
 _DEFAULT_CHUNK = 1 << 18
+_MIN_SLICE = 1 << 14  # rows below which a thread costs more than it saves
+_MAX_SLICE = 1 << 16  # rows; bounds the freed temporaries each worker's malloc arena keeps
+
+
+def _split(count: int, fn: Callable[[int, int], object]) -> list:
+    """[fn(lo, hi)] over contiguous slices of [0, count), by one thread per CPU this process may use.
+
+    No thread gets under ``_MIN_SLICE`` rows, and no slice holds over
+    ``_MAX_SLICE``. With one thread, fn runs once over [0, count), inline.
+    The pool lives for one call only.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    n = max(1, min(cpus, count // _MIN_SLICE))
+    if n == 1:
+        return [fn(0, count)]
+    # imported here: concurrent.futures costs ~10 ms to load, paid only by engine runs
+    from concurrent.futures import ThreadPoolExecutor
+
+    k = max(n, -(-count // _MAX_SLICE))
+    bounds = [count * i // k for i in range(k + 1)]
+    with ThreadPoolExecutor(n) as pool:
+        return list(pool.map(fn, bounds[:-1], bounds[1:]))
 
 
 def trial_uniforms(seed: int, start: int, count: int, stream: int = STREAM_FRINGE) -> np.ndarray:
@@ -124,19 +159,31 @@ def trial_uniforms(seed: int, start: int, count: int, stream: int = STREAM_FRING
     if start < 0 or count < 0:
         raise ValueError("start and count must be >= 0")
     key = ((stream & _MASK64) << 64) | (seed & _MASK64)
-    bitgen = np.random.Philox(key=key)
-    if start:
-        bitgen = bitgen.advance(start * (WORDS_PER_TRIAL // 4))
-    gen = np.random.Generator(bitgen)
-    return gen.random(count * WORDS_PER_TRIAL).reshape(count, WORDS_PER_TRIAL)
+    out = np.empty((count, WORDS_PER_TRIAL))
+
+    def fill(lo: int, hi: int) -> None:
+        bitgen = np.random.Philox(key=key).advance((start + lo) * (WORDS_PER_TRIAL // 4))
+        np.random.Generator(bitgen).random(out=out[lo:hi])
+
+    _split(count, fill)
+    return out
 
 
-def _chunks(seed: int, stream: int, total: int, chunk_size: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(start, uniform block) for consecutive chunks covering trials [0, total)."""
+def _tally(
+    seed: int, stream: int, total: int, chunk_size: int, part: Callable[[int, np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """Sum of the int64 tallies part(first trial, rows) over the slices of every chunk of [0, total).
+
+    Each chunk is drawn on the calling thread; its slices are those of :func:`_split`.
+    """
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
+    tally = 0
     for start in range(0, total, chunk_size):
-        yield start, trial_uniforms(seed, start, min(chunk_size, total - start), stream)
+        u = trial_uniforms(seed, start, min(chunk_size, total - start), stream)
+        tally += sum(_split(len(u), lambda lo, hi: part(start + lo, u[lo:hi])))
+        del u  # free this chunk before the next one is drawn
+    return tally
 
 
 @dataclass(frozen=True)
@@ -520,26 +567,23 @@ def simulate_link_fringe(
     thetas = default_thetas(theta_points) if thetas is None else np.asarray(thetas, dtype=float)
     n_bins = thetas.size
     total = n_bins * trials_per_theta
-    # per bin: D_S1 heralds, their coincidences, D_S2-only heralds, theirs
-    tallies = np.zeros((4, n_bins), dtype=np.int64)
-    n_as1 = 0
-    for start, u in _chunks(seed, STREAM_FRINGE, total, chunk_size):
+
+    def part(first: int, u: np.ndarray) -> np.ndarray:
         rows = np.flatnonzero(_candidates(proto, u))
-        idx = (start + rows) // trials_per_theta
+        idx = (first + rows) // trials_per_theta
         s1, s2, c1 = _fringe_batch(proto, thetas[idx], u[rows])
-        n_as1 += int(c1.sum())
         # D_S2-only heralds give the phase-flipped fringe; kept disjoint from
         # the primary D_S1 tallies so the two estimates are independent
         alt = s2 & ~s1
-        for row, flags in enumerate((s1, s1 & c1, alt, alt & c1)):
-            tallies[row] += np.bincount(idx[flags], minlength=n_bins)
-        del u  # free this chunk before _chunks draws the next one
+        return np.array([np.bincount(idx[f], minlength=n_bins) for f in (s1, s1 & c1, alt, alt & c1, c1)])
+
+    # per bin: D_S1 heralds, their coincidences, D_S2-only heralds, theirs, all D_aS1 clicks
+    her, coin, her_alt, coin_alt, as1 = _tally(seed, STREAM_FRINGE, total, chunk_size, part).tolist()
     th = thetas.tolist()
-    her, coin, her_alt, coin_alt = tallies.tolist()
     return CountsRecord(
         n_trials=total,
         n_heralds=sum(her),
-        n_as1_clicks=n_as1,
+        n_as1_clicks=sum(as1),
         theta_bins=list(map(ThetaBin, th, coin, her)),
         theta_bins_alt=list(map(ThetaBin, th, coin_alt, her_alt)),
     )
@@ -552,13 +596,13 @@ def simulate_link_pairs(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     proto = _protocol(setup, t)
-    tallies = np.zeros(4, dtype=np.int64)  # 00, 01, 10, 11
-    for _, u in _chunks(seed, STREAM_PAIRS, trials, chunk_size):
+
+    def part(first: int, u: np.ndarray) -> np.ndarray:
         heralded, click_a, click_b = _pair_batch(proto, u[_candidates(proto, u)])
-        tallies += np.bincount(2 * click_a[heralded] + click_b[heralded], minlength=4)
-        del u  # free this chunk before _chunks draws the next one
+        return np.bincount(2 * click_a[heralded] + click_b[heralded], minlength=4)
+
     # channel a is arm a (node_l, mode_l): index i of p_ij
-    n00, n01, n10, n11 = tallies.tolist()
+    n00, n01, n10, n11 = _tally(seed, STREAM_PAIRS, trials, chunk_size, part).tolist()
     return CountsRecord(
         pair_trials=trials, pair_heralds=n00 + n01 + n10 + n11, pij_counts=PairCounts(n00, n01, n10, n11)
     )
@@ -571,11 +615,13 @@ def simulate_link_correlation(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     proto = _protocol(setup, t)
-    sums = np.zeros((2, 3), dtype=np.int64)  # per channel: stokes, anti-stokes, coincidence
-    for _, u in _chunks(seed, STREAM_CORRELATION, trials, chunk_size):
-        for ch, (s_click, as_click) in enumerate(_correlation_batch(proto, u[_candidates(proto, u)])):
-            sums[ch] += (s_click.sum(), as_click.sum(), (s_click & as_click).sum())
-        del u  # free this chunk before _chunks draws the next one
+
+    def part(first: int, u: np.ndarray) -> np.ndarray:
+        channels = _correlation_batch(proto, u[_candidates(proto, u)])
+        return np.array([(s.sum(), a.sum(), (s & a).sum()) for s, a in channels], dtype=np.int64)
+
+    # per channel: stokes, anti-stokes, coincidence
+    sums = _tally(seed, STREAM_CORRELATION, trials, chunk_size, part)
     return CountsRecord(
         correlation_trials=trials,
         correlation=tuple(ChannelTallies(trials, *row) for row in sums.tolist()),

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from dlcz_link import stochastic as st
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -29,19 +31,32 @@ def run_python(code: str) -> str:
     return proc.stdout
 
 
-def test_closed_form_subcommands_load_no_scipy(tmp_path):
-    # curve and the figures are closed forms over numpy; scipy (about 0.4 s
-    # of imports) is for fits, lifetime roots and jittered fringe runs only
+@pytest.fixture(scope="module")
+def closed_form_run(tmp_path_factory) -> dict:
+    """Loaded modules and live threads after ``curve`` and every figure in a fresh interpreter."""
     code = f"""
-import json, sys
+import json, sys, threading
 from dlcz_link import cli
 
-out = {str(tmp_path / "out.csv")!r}
+out = {str(tmp_path_factory.mktemp("closed_form") / "out.csv")!r}
 for argv in [["curve"]] + [["figure", "--figure-id", fid] for fid in cli.FIGURE_IDS]:
     assert cli.main([*argv, "--output", out]) == 0, argv
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps({{"modules": sorted(sys.modules), "threads": threading.active_count()}}))
 """
-    assert json.loads(run_python(code)) == []
+    return json.loads(run_python(code))
+
+
+def test_closed_form_subcommands_load_no_scipy(closed_form_run):
+    # curve and the figures are closed forms over numpy; scipy (about 0.4 s
+    # of imports) is for fits, lifetime roots and jittered fringe runs only
+    modules = closed_form_run["modules"]
+    assert [m for m in modules if m == "scipy" or m.startswith("scipy.")] == []
+
+
+def test_closed_form_subcommands_start_no_thread(closed_form_run):
+    # the engine's thread pool, and its ~10 ms import, belong to engine runs
+    assert "concurrent.futures" not in closed_form_run["modules"]
+    assert closed_form_run["threads"] == 1
 
 
 def test_drivers_hold_one_uniform_chunk_at_a_time():

@@ -2,7 +2,8 @@
 
 Chunk invariance: every trial owns its uniform block and the drivers pick
 the trials that hold a pair chunk by chunk, so any chunk size in
-[1, total] must give the record of the default chunking.
+[1, total] must give the record of the default chunking, and so must
+chunks large enough to be split across threads.
 
 Fuzzed configs: whatever a config file holds, a closed-form subcommand
 exits 0, or exits 1 with an ``error:`` line, and never with a traceback.
@@ -45,11 +46,12 @@ def bright_link() -> LinkConfig:
                       noise=NoiseField(sigma_b=2e-3), zeta=0.85, residual_phase_jitter=0.3)
 
 
-def records(setup: LinkConfig, **chunking) -> tuple[st.CountsRecord, ...]:
+def records(setup: LinkConfig, trials_per_theta: int = TRIALS_PER_THETA, **chunking) -> tuple[st.CountsRecord, ...]:
+    total = trials_per_theta * THETAS.size
     return (
-        st.simulate_link_fringe(setup, T, trials_per_theta=TRIALS_PER_THETA, thetas=THETAS, seed=SEED, **chunking),
-        st.simulate_link_pairs(setup, T, trials=TOTAL, seed=SEED, **chunking),
-        st.simulate_link_correlation(setup, T, trials=TOTAL, seed=SEED, **chunking),
+        st.simulate_link_fringe(setup, T, trials_per_theta=trials_per_theta, thetas=THETAS, seed=SEED, **chunking),
+        st.simulate_link_pairs(setup, T, trials=total, seed=SEED, **chunking),
+        st.simulate_link_correlation(setup, T, trials=total, seed=SEED, **chunking),
     )
 
 
@@ -65,6 +67,15 @@ def default_records(bright_link) -> tuple[st.CountsRecord, ...]:
 @given(chunk_size=hs.integers(min_value=1, max_value=TOTAL))
 def test_any_chunk_size_gives_the_default_record(bright_link, default_records, chunk_size):
     assert records(bright_link, chunk_size=chunk_size) == default_records
+
+
+def test_records_equal_across_slicing(bright_link):
+    # 3 * 2^17 trials per mode. 7001-row chunks run inline as one slice each;
+    # the default 2^18-row chunks (a full and a half one) and one 2^20-row
+    # chunk split into 2^16-row slices on every CPU
+    trials_per_theta = (3 << 17) // THETAS.size
+    sliced = [records(bright_link, trials_per_theta, **kw) for kw in ({}, {"chunk_size": 1 << 20})]
+    assert sliced == [records(bright_link, trials_per_theta, chunk_size=7001)] * 2
 
 
 # every schema key, plus one the schema does not know

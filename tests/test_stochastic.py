@@ -5,6 +5,9 @@ and estimator behaviour. Statistical assertions run at pinned seeds with
 
 import dataclasses
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -28,11 +31,32 @@ def plain_link(lattice_node, clock_mode) -> LinkConfig:
     return link_at(lattice_node, clock_mode, 1e-3)  # sigma_delta = 2 mG
 
 
+def use_cpus(monkeypatch: pytest.MonkeyPatch, n: int) -> None:
+    """Show the engine an affinity mask of n CPUs, so a large chunk runs on n threads."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 class TestTrialStreams:
     def test_rows_are_pure_functions_of_index(self):
         full = st.trial_uniforms(99, 0, 500)
         for start, count in [(0, 500), (0, 3), (17, 41), (250, 250), (499, 1)]:
             np.testing.assert_array_equal(st.trial_uniforms(99, start, count), full[start : start + count])
+
+    @pytest.mark.parametrize("cpus", [1, 3, 5])
+    def test_split_fill_is_one_philox_stream(self, monkeypatch, cpus):
+        # an odd start puts every slice offset off the chunk's own grid; more
+        # threads than cores and a short switch interval interleave the fills
+        use_cpus(monkeypatch, cpus)
+        seed, start, count = 99, 1001, 5 * st._MAX_SLICE + 7
+        key = (st.STREAM_PAIRS << 64) | seed
+        expected = np.random.Generator(np.random.Philox(key=key).advance(6 * start)).random(24 * count)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rows = st.trial_uniforms(seed, start, count, st.STREAM_PAIRS)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(rows, expected.reshape(count, st.WORDS_PER_TRIAL))
 
     def test_streams_are_distinct(self):
         a = st.trial_uniforms(99, 0, 4, stream=st.STREAM_FRINGE)
@@ -168,6 +192,24 @@ class TestLinkTrial:
                          mode_l=clock_mode, mode_r=clock_mode)
         with pytest.raises(ValueError):
             st.simulate_link_fringe(cfg, 0.0, trials_per_theta=10, seed=1)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda cfg, n: st.simulate_link_fringe(cfg, 0.0, trials_per_theta=n // 12, seed=1),
+            lambda cfg, n: st.simulate_link_pairs(cfg, 0.0, trials=n, seed=1),
+        ],
+        ids=["fringe", "pairs"],
+    )
+    def test_unequal_eta_raises_from_every_slice(self, lattice_node, clock_mode, monkeypatch, run):
+        use_cpus(monkeypatch, 4)
+        other = dataclasses.replace(lattice_node, eta=0.2)
+        cfg = LinkConfig(node_l=lattice_node, node_r=other, noise=NoiseField(sigma_b=1e-3),
+                         mode_l=clock_mode, mode_r=clock_mode)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="per-arm detection efficiencies must be equal"):
+            run(cfg, 8 * st._MIN_SLICE)
+        assert threading.active_count() == threads
 
 
 def dense_records(setup: LinkConfig, t: float, *, trials_per_theta: int, trials: int, seed: int, thetas: np.ndarray):
