@@ -2,8 +2,7 @@
 
 Every function here is a pure formula: spin-wave amplitude/efficiency decay,
 the dephasing lifetime set by Lorentzian shot-to-shot field noise, the
-Stokes/anti-Stokes detection-probability chain, fringe visibility and
-concurrence. All functions accept scalars or numpy arrays for the time
+Stokes/anti-Stokes cross-correlation, fringe visibility and concurrence. All functions accept scalars or numpy arrays for the time
 argument and are reentrant (no shared state).
 
 :func:`link_curves` is the one closed form of a two-arm
@@ -105,21 +104,6 @@ def dephasing_lifetime(mu_prime: float, sigma: float) -> float:
     return _inverse_or_inf(2.0 * math.pi * mu_prime * sigma)
 
 
-def lorentzian_characteristic(mu_prime: float, sigma: float, t: ArrayLike) -> ArrayLike:
-    """Fringe-damping factor exp(-2 pi mu' sigma t).
-
-    This is the magnitude of the phase factor exp(i 2 pi mu' dB t) averaged
-    over a Lorentzian dB of width sigma (the Cauchy characteristic
-    function), equal to exp(-t/tau_0).
-    """
-    _check_time(t)
-    if mu_prime < 0.0 or sigma < 0.0:
-        raise ValueError("mu_prime and sigma must be >= 0")
-    return np.exp(-2.0 * math.pi * mu_prime * sigma * np.asarray(t, dtype=float)) if isinstance(
-        t, np.ndarray
-    ) else math.exp(-2.0 * math.pi * mu_prime * sigma * t)
-
-
 def cross_correlation_from_efficiency(
     gamma: ArrayLike, chi: float, xi_se: float, z_noise: float
 ) -> ArrayLike:
@@ -160,48 +144,6 @@ def visibility(g: ArrayLike, t: ArrayLike, tau_0: float, zeta: float = 1.0) -> A
         raise ValueError("cross-correlation g must be >= 1")
     damping = np.exp(-np.asarray(t, dtype=float) / tau_0) if tau_0 != math.inf else 1.0
     return zeta * (g - 1.0) / (g + 1.0) * damping
-
-
-@dataclass(frozen=True)
-class CoincidenceProbabilities:
-    """Detection-probability chain behind one fringe point.
-
-    ``p_s``/``p_as`` are per-ensemble singles, ``p_s1``/``p_as1`` the
-    post-beam-splitter singles, ``p_c`` the conditional retrieval fringe and
-    ``p_s1_as1`` the Stokes/anti-Stokes coincidence probability.
-    """
-
-    p_s: ArrayLike
-    p_as: ArrayLike
-    p_s1: ArrayLike
-    p_as1: ArrayLike
-    p_c: ArrayLike
-    p_s1_as1: ArrayLike
-
-
-def coincidence_probability(
-    theta: ArrayLike, p: EnsembleParams, tau_0: float, t: ArrayLike
-) -> CoincidenceProbabilities:
-    """Coincidence probability P_{S1,aS1}(theta) with its intermediates.
-
-    P_{S1,aS1}(theta) = chi gamma eta^2 (1 + e^{-t/tau_0} cos theta)/2
-    + P_S1 * P_aS1, with P_S = chi eta and
-    P_aS = chi gamma eta + chi (1-gamma) xi_se eta + Z eta. The linear-chi
-    truncation is kept exactly as stated; higher orders are the Monte-Carlo
-    engine's job.
-    """
-    _check_time(t)
-    gamma = retrieval_efficiency(p.gamma_0, p.decay, t)
-    eta = p.eta
-    p_s = p.chi * eta
-    p_as = p.chi * gamma * eta + p.chi * (1.0 - gamma) * p.xi_se * eta + p.z_noise * eta
-    # the 1/2 beam-splitter split and the two-ensemble symmetry factor cancel
-    p_s1 = p_s
-    p_as1 = p_as
-    damping = np.exp(-np.asarray(t, dtype=float) / tau_0) if tau_0 != math.inf else 1.0
-    p_c = eta * gamma * (1.0 + damping * np.cos(theta)) / 2.0
-    p_s1_as1 = p_s1 * p_c + p_s1 * p_as1
-    return CoincidenceProbabilities(p_s=p_s, p_as=p_as, p_s1=p_s1, p_as1=p_as1, p_c=p_c, p_s1_as1=p_s1_as1)
 
 
 def concurrence_from_probs(

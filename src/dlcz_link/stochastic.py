@@ -8,23 +8,30 @@ are the per-trial ingredient probabilities (thermal pair statistics
 truncated at two pairs per node, retrieval/noise/background channels,
 Lorentzian field samples), so the two layers cross-check each other.
 
-Randomness is counter-based: every trial owns a fixed 24-word block of a
-Philox stream addressed by ``(seed, stream, trial_index)``. Results are
-therefore bit-identical for a given seed no matter how trials are chunked,
-scheduled or parallelized (``chunk_size=1`` runs one trial at a time);
-accumulation is plain integer addition and is order-independent.
+Randomness is counter-based and comes in two kinds of Philox streams,
+keyed by ``(seed, stream, column)``. Each trial draws six screen words, one
+from each of six one-word-per-trial streams addressed by the trial index:
+its pair-number and noise uniforms, which decide whether it is a candidate
+(below). Candidate k of a run, counted in trial order over all chunks,
+draws the 16 other words of its row as row k of a seventh stream. A trial
+that is not a candidate draws nothing more. Results are therefore
+bit-identical for a given seed no matter how trials are chunked, scheduled
+or parallelized (``chunk_size=1`` runs one trial at a time); accumulation
+is plain integer addition and is order-independent.
 
 Each chunk uses every CPU the process may run on. It is cut into
-contiguous row slices of at most 2^16 rows, and one worker thread per CPU
-(each with at least 2^14 rows) runs two kinds of work on them: the
-slice's Philox fill, from a generator advanced to the slice's first trial
-(numpy releases the interpreter lock while it fills), and the slice's
-candidate mask, row kernels and bincounts, which return int64 partial
-tallies. No slice reads or writes another slice's rows, and the caller
-adds the partial tallies, so records are bit-identical for any number of
-CPUs; with one thread the whole chunk runs inline. The public functions
-(``trial_uniforms``, the ``simulate_link_*`` drivers) still run on the
-calling thread, once per chunk and once per run.
+contiguous slices of at most 2^16 rows, and one worker thread per CPU
+(each with at least 2^14 rows) runs three kinds of work on them: the
+slice's screen fill, from generators advanced to the slice's first trial
+(numpy releases the interpreter lock while it fills); the slice's
+candidate mask; and, over slices of the chunk's candidates, the
+candidate-row fill from the slice's first rank, the row kernels and
+bincounts, which return int64 partial tallies. No slice reads or writes
+another slice's rows, and the caller adds the partial tallies, so records
+are bit-identical for any number of CPUs; with one thread the whole chunk
+runs inline. The public functions (``trial_uniforms``, the
+``simulate_link_*`` drivers) still run on the calling thread, once per
+chunk and once per run.
 
 The drivers are herald-first: each chunk runs the row kernels only on its
 candidate trials, those holding a pair in either arm (n_a >= 1 or
@@ -34,7 +41,10 @@ a pair can neither herald nor retrieve, so it can only click through a
 noise channel, and one whose noise uniforms all lie above every noise
 probability gives False in every kernel. Since each row depends only on
 its own uniforms, skipping those trials leaves every tally as the kernels
-give it over all rows, at about 2 chi of the per-row work.
+give it over all rows, at about 2 chi of the per-row work. The candidate
+rows' other words come from a stream independent of the screens, one
+distinct row per candidate, so given its screen words every candidate's
+row is iid uniform, as a full row drawn per trial would be.
 
 Three measurement modes mirror the three detector configurations of the
 experiment, one ``simulate_link_*`` function each:
@@ -96,11 +106,11 @@ __all__ = [
     "default_thetas",
 ]
 
-#: Fixed randomness budget per trial, in 64-bit words (multiple of the
-#: Philox 4-word counter block so chunk boundaries stay aligned).
-WORDS_PER_TRIAL = 24
+#: Screen words per trial: one from each of six one-word-per-trial Philox
+#: streams, the columns ``trial_uniforms`` returns.
+WORDS_PER_TRIAL = 6
 
-# column map of a trial's uniform block
+# column map of a candidate's assembled row
 _COL_N_A = 0
 _COL_N_B = 1
 _COL_STOKES_A = (2, 3)
@@ -117,6 +127,13 @@ _COL_SE_B = 18
 _COL_BG_A = 19
 _COL_BG_B = 20
 _COL_JITTER = 21
+_ROW_WIDTH = 22
+
+# the screen columns, in the order of trial_uniforms's columns and of their
+# stream keys; a candidate's 16 other words fill _ROW_COLS in order
+_SCREEN_COLS = (_COL_N_A, _COL_N_B, _COL_SE_A, _COL_SE_B, _COL_BG_A, _COL_BG_B)
+_ROW_COLS = (*range(2, 17), _COL_JITTER)
+_ROW_KEY = 7  # key column of the candidate-row stream
 
 # stream ids: distinct Philox keys per measurement mode
 STREAM_FRINGE = 0
@@ -149,39 +166,70 @@ def _split(count: int, fn: Callable[[int, int], object]) -> list:
         return list(pool.map(fn, bounds[:-1], bounds[1:]))
 
 
-def trial_uniforms(seed: int, start: int, count: int, stream: int = STREAM_FRINGE) -> np.ndarray:
-    """Uniform block for trials [start, start+count), shape (count, 24).
+def _generator(seed: int, stream: int, column: int, blocks: int) -> np.random.Generator:
+    """Philox generator keyed by (seed, 8 stream + column), advanced by ``blocks`` 4-word blocks."""
+    key = (((8 * stream + column) & _MASK64) << 64) | (seed & _MASK64)
+    return np.random.Generator(np.random.Philox(key=key).advance(blocks))
 
-    Row i is a pure function of (seed, stream, start + i): the Philox
-    counter is advanced to the trial's block, so any chunking reproduces
-    the same rows bit for bit.
+
+def trial_uniforms(seed: int, start: int, count: int, stream: int = STREAM_FRINGE) -> np.ndarray:
+    """Screen words of trials [start, start+count), shape (count, 6), column-major.
+
+    Column c (n_a, n_b, se_a, se_b, bg_a, bg_b) is its own Philox stream,
+    one word per trial: row i is word start + i of it, so any chunking
+    reproduces the same rows bit for bit.
     """
     if start < 0 or count < 0:
         raise ValueError("start and count must be >= 0")
-    key = ((stream & _MASK64) << 64) | (seed & _MASK64)
-    out = np.empty((count, WORDS_PER_TRIAL))
+    out = np.empty((count, WORDS_PER_TRIAL), order="F")
 
     def fill(lo: int, hi: int) -> None:
-        bitgen = np.random.Philox(key=key).advance((start + lo) * (WORDS_PER_TRIAL // 4))
-        np.random.Generator(bitgen).random(out=out[lo:hi])
+        first = start + lo
+        for c in range(WORDS_PER_TRIAL):
+            gen = _generator(seed, stream, c, first // 4)
+            gen.random(first % 4)  # the words of earlier trials in the first block
+            gen.random(out=out[lo:hi, c])
 
     _split(count, fill)
     return out
 
 
-def _tally(
-    seed: int, stream: int, total: int, chunk_size: int, part: Callable[[int, np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """Sum of the int64 tallies part(first trial, rows) over the slices of every chunk of [0, total).
+def _candidate_rows(screens: np.ndarray, seed: int, stream: int, rank: int) -> np.ndarray:
+    """Full rows of candidates rank, rank+1, ... of the run, given their screen words."""
+    rows = np.empty((len(screens), _ROW_WIDTH))
+    rows[:, _SCREEN_COLS] = screens
+    # 16 words, four Philox blocks, per candidate
+    rows[:, _ROW_COLS] = _generator(seed, stream, _ROW_KEY, 4 * rank).random((len(screens), len(_ROW_COLS)))
+    return rows
 
-    Each chunk is drawn on the calling thread; its slices are those of :func:`_split`.
+
+def _tally(
+    proto: _Protocol,
+    seed: int,
+    stream: int,
+    total: int,
+    chunk_size: int,
+    part: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Sum of the int64 tallies part(trial indices, rows) over the candidates of every chunk of [0, total).
+
+    Each chunk's screens are drawn on the calling thread; the mask runs
+    over slices of the chunk's trials and part over slices of its
+    candidates, both those of :func:`_split`.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     tally = 0
+    rank = 0  # candidates in earlier chunks
     for start in range(0, total, chunk_size):
         u = trial_uniforms(seed, start, min(chunk_size, total - start), stream)
-        tally += sum(_split(len(u), lambda lo, hi: part(start + lo, u[lo:hi])))
+        idx = np.concatenate(_split(len(u), lambda lo, hi: lo + np.flatnonzero(_candidates(proto, u[lo:hi]))))
+
+        def run(lo: int, hi: int) -> np.ndarray:
+            return part(start + idx[lo:hi], _candidate_rows(u[idx[lo:hi]], seed, stream, rank + lo))
+
+        tally += sum(_split(len(idx), run))
+        rank += len(idx)
         del u  # free this chunk before the next one is drawn
     return tally
 
@@ -273,8 +321,8 @@ def _thermal_counts(u: np.ndarray, chi: float) -> np.ndarray:
     return (u >= p0).astype(np.int8) + (u >= p1).astype(np.int8)
 
 
-def _candidates(proto: _Protocol, u: np.ndarray) -> np.ndarray:
-    """Mask of the trials whose rows can add to a tally.
+def _candidates(proto: _Protocol, screens: np.ndarray) -> np.ndarray:
+    """Mask of the trials whose rows can add to a tally, from their screen words.
 
     A trial with a pair in neither arm can neither herald nor retrieve: it
     clicks only through a noise channel whose uniform lies below the
@@ -284,10 +332,11 @@ def _candidates(proto: _Protocol, u: np.ndarray) -> np.ndarray:
     """
     a, b = proto.arm_a, proto.arm_b
     noise_max = max(p * arm.eta for arm in (a, b) for p in (arm.se_noise, arm.z_noise))
-    live = u[:, _COL_N_A] >= _thermal_thresholds(a.chi)[0]
-    live |= u[:, _COL_N_B] >= _thermal_thresholds(b.chi)[0]
-    for col in (_COL_SE_A, _COL_SE_B, _COL_BG_A, _COL_BG_B):
-        live |= u[:, col] < noise_max
+    # screen columns: n_a, n_b, then the four noise uniforms
+    live = screens[:, 0] >= _thermal_thresholds(a.chi)[0]
+    live |= screens[:, 1] >= _thermal_thresholds(b.chi)[0]
+    for col in range(2, WORDS_PER_TRIAL):
+        live |= screens[:, col] < noise_max
     return live
 
 
@@ -568,17 +617,16 @@ def simulate_link_fringe(
     n_bins = thetas.size
     total = n_bins * trials_per_theta
 
-    def part(first: int, u: np.ndarray) -> np.ndarray:
-        rows = np.flatnonzero(_candidates(proto, u))
-        idx = (first + rows) // trials_per_theta
-        s1, s2, c1 = _fringe_batch(proto, thetas[idx], u[rows])
+    def part(trials: np.ndarray, u: np.ndarray) -> np.ndarray:
+        idx = trials // trials_per_theta
+        s1, s2, c1 = _fringe_batch(proto, thetas[idx], u)
         # D_S2-only heralds give the phase-flipped fringe; kept disjoint from
         # the primary D_S1 tallies so the two estimates are independent
         alt = s2 & ~s1
         return np.array([np.bincount(idx[f], minlength=n_bins) for f in (s1, s1 & c1, alt, alt & c1, c1)])
 
     # per bin: D_S1 heralds, their coincidences, D_S2-only heralds, theirs, all D_aS1 clicks
-    her, coin, her_alt, coin_alt, as1 = _tally(seed, STREAM_FRINGE, total, chunk_size, part).tolist()
+    her, coin, her_alt, coin_alt, as1 = _tally(proto, seed, STREAM_FRINGE, total, chunk_size, part).tolist()
     th = thetas.tolist()
     return CountsRecord(
         n_trials=total,
@@ -597,12 +645,12 @@ def simulate_link_pairs(
         raise ValueError("trials must be >= 1")
     proto = _protocol(setup, t)
 
-    def part(first: int, u: np.ndarray) -> np.ndarray:
-        heralded, click_a, click_b = _pair_batch(proto, u[_candidates(proto, u)])
+    def part(trials: np.ndarray, u: np.ndarray) -> np.ndarray:
+        heralded, click_a, click_b = _pair_batch(proto, u)
         return np.bincount(2 * click_a[heralded] + click_b[heralded], minlength=4)
 
     # channel a is arm a (node_l, mode_l): index i of p_ij
-    n00, n01, n10, n11 = _tally(seed, STREAM_PAIRS, trials, chunk_size, part).tolist()
+    n00, n01, n10, n11 = _tally(proto, seed, STREAM_PAIRS, trials, chunk_size, part).tolist()
     return CountsRecord(
         pair_trials=trials, pair_heralds=n00 + n01 + n10 + n11, pij_counts=PairCounts(n00, n01, n10, n11)
     )
@@ -616,12 +664,12 @@ def simulate_link_correlation(
         raise ValueError("trials must be >= 1")
     proto = _protocol(setup, t)
 
-    def part(first: int, u: np.ndarray) -> np.ndarray:
-        channels = _correlation_batch(proto, u[_candidates(proto, u)])
+    def part(trials: np.ndarray, u: np.ndarray) -> np.ndarray:
+        channels = _correlation_batch(proto, u)
         return np.array([(s.sum(), a.sum(), (s & a).sum()) for s, a in channels], dtype=np.int64)
 
     # per channel: stokes, anti-stokes, coincidence
-    sums = _tally(seed, STREAM_CORRELATION, trials, chunk_size, part)
+    sums = _tally(proto, seed, STREAM_CORRELATION, trials, chunk_size, part)
     return CountsRecord(
         correlation_trials=trials,
         correlation=tuple(ChannelTallies(trials, *row) for row in sums.tolist()),

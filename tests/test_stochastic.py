@@ -36,27 +36,62 @@ def use_cpus(monkeypatch: pytest.MonkeyPatch, n: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
+# a stream no mode uses: its screen keys are 24-29 and its row key 31
+FREE_STREAM = 3
+
+
+def philox_words(seed: int, key_high: int, count: int) -> np.ndarray:
+    """The first count doubles of the plain Philox stream keyed (key_high << 64) | seed."""
+    return np.random.Generator(np.random.Philox(key=(key_high << 64) | seed)).random(count)
+
+
 class TestTrialStreams:
     def test_rows_are_pure_functions_of_index(self):
-        full = st.trial_uniforms(99, 0, 500)
+        full = st.trial_uniforms(99, 0, 500, FREE_STREAM)
         for start, count in [(0, 500), (0, 3), (17, 41), (250, 250), (499, 1)]:
-            np.testing.assert_array_equal(st.trial_uniforms(99, start, count), full[start : start + count])
+            np.testing.assert_array_equal(
+                st.trial_uniforms(99, start, count, FREE_STREAM), full[start : start + count]
+            )
 
     @pytest.mark.parametrize("cpus", [1, 3, 5])
     def test_split_fill_is_one_philox_stream(self, monkeypatch, cpus):
-        # an odd start puts every slice offset off the chunk's own grid; more
-        # threads than cores and a short switch interval interleave the fills
+        # an odd start puts every slice offset off the chunk's own grid and
+        # inside a Philox block; more threads than cores and a short switch
+        # interval interleave the fills
         use_cpus(monkeypatch, cpus)
         seed, start, count = 99, 1001, 5 * st._MAX_SLICE + 7
-        key = (st.STREAM_PAIRS << 64) | seed
-        expected = np.random.Generator(np.random.Philox(key=key).advance(6 * start)).random(24 * count)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            rows = st.trial_uniforms(seed, start, count, st.STREAM_PAIRS)
+            screens = st.trial_uniforms(seed, start, count, st.STREAM_PAIRS)
         finally:
             sys.setswitchinterval(interval)
-        np.testing.assert_array_equal(rows, expected.reshape(count, st.WORDS_PER_TRIAL))
+        assert screens.shape == (count, st.WORDS_PER_TRIAL)
+        for c in range(st.WORDS_PER_TRIAL):
+            expected = philox_words(seed, 8 * st.STREAM_PAIRS + c, start + count)[start:]
+            np.testing.assert_array_equal(screens[:, c], expected)
+
+    def test_candidate_rows_known_answer(self):
+        # candidates 13..17 of a pair-mode run: words 16k..16k+15 of the row
+        # stream fill columns 2-16 and 21, the screens columns 0, 1 and 17-20
+        seed, rank = 99, 13
+        screens = st.trial_uniforms(seed, 40, 5, st.STREAM_PAIRS)
+        rows = st._candidate_rows(screens, seed, st.STREAM_PAIRS, rank)
+        words = philox_words(seed, 8 * st.STREAM_PAIRS + 7, 16 * (rank + 5))[16 * rank :].reshape(5, 16)
+        np.testing.assert_array_equal(rows[:, [0, 1, 17, 18, 19, 20]], screens)
+        np.testing.assert_array_equal(rows[:, 2:17], words[:, :15])
+        np.testing.assert_array_equal(rows[:, 21], words[:, 15])
+
+    def test_every_mode_column_has_its_own_key(self):
+        # 3 modes x (6 screen columns + 1 row stream) = 21 keys, none shared
+        # with each other or with the free stream the tests draw from
+        seed = 99
+        firsts = [
+            st._generator(seed, m, c, 0).random()
+            for m in (st.STREAM_FRINGE, st.STREAM_PAIRS, st.STREAM_CORRELATION, FREE_STREAM)
+            for c in (*range(st.WORDS_PER_TRIAL), st._ROW_KEY)
+        ]
+        assert len(set(firsts)) == 28
 
     def test_streams_are_distinct(self):
         a = st.trial_uniforms(99, 0, 4, stream=st.STREAM_FRINGE)
@@ -80,7 +115,7 @@ class TestTrialStreams:
 
 class TestLorentzianSampling:
     def test_zero_width(self):
-        u = st.trial_uniforms(1, 0, 100)[:, 6]
+        u = st.trial_uniforms(1, 0, 100, FREE_STREAM)[:, 0]
         np.testing.assert_array_equal(st.lorentzian_from_uniform(0.0, u), np.zeros(100))
 
     def test_quantile_at_three_quarters(self):
@@ -90,7 +125,7 @@ class TestLorentzianSampling:
     def test_median_absolute_value(self):
         # half of all draws fall within one width of zero (Cauchy CDF)
         sigma = 3e-3
-        u = st.trial_uniforms(2024, 0, 1_000_000, stream=3)[:, 6]  # a stream no mode uses
+        u = st.trial_uniforms(2024, 0, 1_000_000, FREE_STREAM)[:, 0]
         frac = float(np.mean(np.abs(st.lorentzian_from_uniform(sigma, u)) <= sigma))
         assert frac == pytest.approx(0.5, abs=2e-3)
 
@@ -123,9 +158,9 @@ class TestLinkPhases:
         # mean cos(phase difference) at t = tau_0 is e^{-1}: the difference
         # of two node fields is Lorentzian with twice the width
         tau_0 = model.link_curves(plain_link, 0.0).tau_0
-        u = st.trial_uniforms(31, 0, 100_000)
-        db_l = st.lorentzian_from_uniform(1e-3, u[:, 6])
-        db_r = st.lorentzian_from_uniform(1e-3, u[:, 7])
+        u = st.trial_uniforms(31, 0, 100_000, FREE_STREAM)
+        db_l = st.lorentzian_from_uniform(1e-3, u[:, 0])
+        db_r = st.lorentzian_from_uniform(1e-3, u[:, 1])
         vals = np.cos(2.0 * np.pi * 5000.0 * (db_l - db_r) * tau_0)
         se = float(vals.std() / math.sqrt(vals.size))
         assert_within_se(float(vals.mean()), math.exp(-1.0), se)
@@ -141,8 +176,9 @@ class TestLinkTrial:
         assert st.simulate_link_pairs(cfg, 0.0, trials=12_000, seed=3).pair_heralds == 0
 
     def test_single_trial_matches_batch_rows(self, plain_link):
-        # each trial owns its uniform block, so one trial per chunk is the
-        # same run as the default chunking
+        # screen words are addressed by trial and candidate rows by rank
+        # over the run, so one trial per chunk is the same run as the
+        # default chunking
         kw = dict(trials_per_theta=4000, seed=17, thetas=np.array([0.7]))
         batch = st.simulate_link_fringe(plain_link, 5e-3, **kw)
         assert batch.n_heralds > 0
@@ -212,17 +248,39 @@ class TestLinkTrial:
         assert threading.active_count() == threads
 
 
+def dense_rows(proto, seed: int, stream: int, count: int) -> np.ndarray:
+    """Full rows of trials [0, count), laid out here from the raw Philox streams.
+
+    Columns 0, 1 and 17-20 are the screen words. A trial holding a pair, or
+    with a noise word below the largest noise click probability, is a
+    candidate: candidate k takes words 16k..16k+15 of the row stream in
+    columns 2-16 and 21. Every other trial's 16 words come from a stream no
+    mode uses, which no tally may read.
+    """
+    screens = st.trial_uniforms(seed, 0, count, stream)
+    a, b = proto.arm_a, proto.arm_b
+    noise_max = max(p * arm.eta for arm in (a, b) for p in (arm.se_noise, arm.z_noise))
+    candidate = screens[:, 0] >= 1.0 / (1.0 + a.chi + a.chi * a.chi)
+    candidate |= screens[:, 1] >= 1.0 / (1.0 + b.chi + b.chi * b.chi)
+    candidate |= (screens[:, 2:] < noise_max).any(axis=1)
+    n_cand = int(candidate.sum())
+    rest = np.empty((count, 16))
+    rest[candidate] = philox_words(seed, 8 * stream + 7, 16 * n_cand).reshape(n_cand, 16)
+    rest[~candidate] = philox_words(seed, 8 * FREE_STREAM + 7, 16 * (count - n_cand)).reshape(-1, 16)
+    return np.column_stack([screens[:, :2], rest[:, :15], screens[:, 2:], rest[:, 15]])
+
+
 def dense_records(setup: LinkConfig, t: float, *, trials_per_theta: int, trials: int, seed: int, thetas: np.ndarray):
     """Fringe, pair and correlation records from the row kernels applied to every trial.
 
-    The dense driver, one chunk with every trial through the full click
-    logic, is the oracle of the engine's herald-first drivers.
+    The dense driver, one chunk with every trial's full row through the
+    click logic, is the oracle of the engine's herald-first drivers.
     """
     proto = st._protocol(setup, t)
     n_bins = thetas.size
     total = n_bins * trials_per_theta
     idx = np.arange(total) // trials_per_theta
-    s1, s2, c1 = st._fringe_batch(proto, thetas[idx], st.trial_uniforms(seed, 0, total, st.STREAM_FRINGE))
+    s1, s2, c1 = st._fringe_batch(proto, thetas[idx], dense_rows(proto, seed, st.STREAM_FRINGE, total))
     alt = s2 & ~s1
     her, coin, her_alt, coin_alt = (
         np.bincount(idx[flags], minlength=n_bins).tolist() for flags in (s1, s1 & c1, alt, alt & c1)
@@ -236,13 +294,13 @@ def dense_records(setup: LinkConfig, t: float, *, trials_per_theta: int, trials:
         theta_bins_alt=list(map(st.ThetaBin, th, coin_alt, her_alt)),
     )
 
-    heralded, click_a, click_b = st._pair_batch(proto, st.trial_uniforms(seed, 0, trials, st.STREAM_PAIRS))
+    heralded, click_a, click_b = st._pair_batch(proto, dense_rows(proto, seed, st.STREAM_PAIRS, trials))
     n00, n01, n10, n11 = np.bincount(2 * click_a[heralded] + click_b[heralded], minlength=4).tolist()
     pairs = st.CountsRecord(
         pair_trials=trials, pair_heralds=n00 + n01 + n10 + n11, pij_counts=st.PairCounts(n00, n01, n10, n11)
     )
 
-    channels = st._correlation_batch(proto, st.trial_uniforms(seed, 0, trials, st.STREAM_CORRELATION))
+    channels = st._correlation_batch(proto, dense_rows(proto, seed, st.STREAM_CORRELATION, trials))
     correlation = st.CountsRecord(
         correlation_trials=trials,
         correlation=tuple(
@@ -417,7 +475,7 @@ class TestPhaseAverage:
         # to e^{-1} at t = 1/(2 pi mu' sigma)
         mu, sigma = 5000.0, 2e-3
         t = 1.0 / (2.0 * math.pi * mu * sigma)
-        u = st.trial_uniforms(5, 0, 1_000_000)[:, 6]
+        u = st.trial_uniforms(5, 0, 1_000_000, FREE_STREAM)[:, 0]
         vals = np.cos(2.0 * np.pi * mu * st.lorentzian_from_uniform(sigma, u) * t)
         se = float(vals.std() / math.sqrt(vals.size))
         assert_within_se(float(vals.mean()), math.exp(-1.0), se)
