@@ -135,7 +135,7 @@ _SCREEN_COLS = (_COL_N_A, _COL_N_B, _COL_SE_A, _COL_SE_B, _COL_BG_A, _COL_BG_B)
 _ROW_COLS = (*range(2, 17), _COL_JITTER)
 _ROW_KEY = 7  # key column of the candidate-row stream
 
-# stream ids: distinct Philox keys per measurement mode
+# stream ids: mode m keys its seven Philox streams 8 m + column, columns 0-5 and 7
 STREAM_FRINGE = 0
 STREAM_PAIRS = 1
 STREAM_CORRELATION = 2

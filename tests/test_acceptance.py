@@ -21,6 +21,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.stats import binomtest, chi2
 
 from dlcz_link import (
     BOHR_MAGNETON_HZ_PER_G,
@@ -125,8 +126,6 @@ def binomial_deviance(k: int, n: int, p: float) -> float:
 
 def test_criterion_4_mc_closed_form_equivalence():
     # unit mode overlap: the S8-S11 probability chain assumes it
-    from scipy.stats import binomtest, chi2
-
     trials_per_theta = 100_000
     start = time.perf_counter()
     tau_ref = model.dephasing_lifetime(5000.0, 2e-3)  # 2 mG clock for the shared row
