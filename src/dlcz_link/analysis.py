@@ -55,7 +55,6 @@ class DecaySeries:
 
     times: np.ndarray
     values: np.ndarray
-    std_errors: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
@@ -68,11 +67,6 @@ class DecaySeries:
             raise ValueError("times must be strictly increasing")
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
-        if self.std_errors is not None:
-            errs = np.asarray(self.std_errors, dtype=float)
-            object.__setattr__(self, "std_errors", errs)
-            if errs.shape != times.shape or np.any(errs < 0.0):
-                raise ValueError("std_errors must match times and be >= 0")
 
     def __len__(self) -> int:
         return self.times.size
@@ -93,7 +87,6 @@ def _multistart_fit(
     times: np.ndarray,
     values: np.ndarray,
     starts: Iterable[Sequence[float]],
-    sigma: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Levenberg-Marquardt from several starting points; best residual wins."""
     # imported here: scipy.optimize costs ~0.4 s to load, paid only by fits
@@ -105,7 +98,7 @@ def _multistart_fit(
             with warnings.catch_warnings():
                 # exact data makes the covariance singular; expected here
                 warnings.simplefilter("ignore", OptimizeWarning)
-                popt, pcov = curve_fit(fun, times, values, p0=p0, sigma=sigma, maxfev=20000)
+                popt, pcov = curve_fit(fun, times, values, p0=p0, maxfev=20000)
         except (RuntimeError, ValueError):
             continue
         resid = float(np.linalg.norm(fun(times, *popt) - values))
@@ -154,7 +147,7 @@ def fit_decay(series: DecaySeries, law: str = "exponential") -> FitResult:
         fun = lambda tt, a, r: a * _exp(-((r * tt) ** 2))  # noqa: E731
     a0 = float(np.max(np.abs(y)))
     starts = [(a0, r) for r in np.geomspace(0.1 / t_span, 100.0 / t_span, 7)]
-    popt, pcov, resid = _multistart_fit(fun, t, y, starts, series.std_errors)
+    popt, pcov, resid = _multistart_fit(fun, t, y, starts)
     a_fit, rate = float(popt[0]), float(popt[1])
     errs = np.sqrt(np.clip(np.diag(pcov), 0.0, None))
     tau, tau_err = _rate_to_lifetime(rate, float(errs[1]), t_span)
@@ -187,7 +180,7 @@ def fit_cross_correlation(
         return model.cross_correlation_from_efficiency(gam, chi, xi, z_noise)
 
     starts = [(x,) for x in (0.05, 0.2, 0.5, 0.8)]
-    popt, pcov, resid = _multistart_fit(fun, series.times, series.values, starts, series.std_errors)
+    popt, pcov, resid = _multistart_fit(fun, series.times, series.values, starts)
     xi = float(popt[0])
     err = float(np.sqrt(max(pcov[0, 0], 0.0)))
     flags: tuple[str, ...] = ()
@@ -229,7 +222,7 @@ def fit_visibility_dephasing(
 
     starts = [(1.0, r) for r in np.geomspace(0.1 / t_span, 100.0 / t_span, 7)]
     starts.append((1.0, 0.0))
-    popt, pcov, resid = _multistart_fit(fun, series.times, series.values, starts, series.std_errors)
+    popt, pcov, resid = _multistart_fit(fun, series.times, series.values, starts)
     xi_p, rate = float(popt[0]), float(popt[1])
     errs = np.sqrt(np.clip(np.diag(pcov), 0.0, None))
     tau_0, tau_err = _rate_to_lifetime(rate, float(errs[1]), t_span)

@@ -19,19 +19,16 @@ bit-identical for a given seed no matter how trials are chunked, scheduled
 or parallelized (``chunk_size=1`` runs one trial at a time); accumulation
 is plain integer addition and is order-independent.
 
-Each chunk uses every CPU the process may run on. It is cut into
-contiguous slices of at most 2^16 rows, and one worker thread per CPU
-(each with at least 2^14 rows) runs three kinds of work on them: the
-slice's screen fill, from generators advanced to the slice's first trial
-(numpy releases the interpreter lock while it fills); the slice's
-candidate mask; and, over slices of the chunk's candidates, the
-candidate-row fill from the slice's first rank, the row kernels and
-bincounts, which return int64 partial tallies. No slice reads or writes
-another slice's rows, and the caller adds the partial tallies, so records
-are bit-identical for any number of CPUs; with one thread the whole chunk
-runs inline. The public functions (``trial_uniforms``, the
-``simulate_link_*`` drivers) still run on the calling thread, once per
-chunk and once per run.
+Each chunk's six screen streams are filled one stream per thread, on up
+to six threads when the process may use more than one CPU and the chunk
+holds at least 2^15 trials (numpy releases the interpreter lock while it
+fills); each stream's generator is advanced to the chunk's first trial, so
+no thread touches another's column and the fill is bit-identical to an
+inline one. Everything else runs on the calling thread: the candidate
+mask, and the candidate-row fill, row kernels and bincounts over blocks of
+at most 2^16 candidates, each block's rows drawn from its first rank. The
+public functions (``trial_uniforms``, the ``simulate_link_*`` drivers) run
+on the calling thread, once per chunk and once per run.
 
 The drivers are herald-first: each chunk runs the row kernels only on its
 candidate trials, those holding a pair in either arm (n_a >= 1 or
@@ -142,28 +139,8 @@ STREAM_CORRELATION = 2
 
 _MASK64 = (1 << 64) - 1
 _DEFAULT_CHUNK = 1 << 18
-_MIN_SLICE = 1 << 14  # rows below which a thread costs more than it saves
-_MAX_SLICE = 1 << 16  # rows; bounds the freed temporaries each worker's malloc arena keeps
-
-
-def _split(count: int, fn: Callable[[int, int], object]) -> list:
-    """[fn(lo, hi)] over contiguous slices of [0, count), by one thread per CPU this process may use.
-
-    No thread gets under ``_MIN_SLICE`` rows, and no slice holds over
-    ``_MAX_SLICE``. With one thread, fn runs once over [0, count), inline.
-    The pool lives for one call only.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    n = max(1, min(cpus, count // _MIN_SLICE))
-    if n == 1:
-        return [fn(0, count)]
-    # imported here: concurrent.futures costs ~10 ms to load, paid only by engine runs
-    from concurrent.futures import ThreadPoolExecutor
-
-    k = max(n, -(-count // _MAX_SLICE))
-    bounds = [count * i // k for i in range(k + 1)]
-    with ThreadPoolExecutor(n) as pool:
-        return list(pool.map(fn, bounds[:-1], bounds[1:]))
+_MIN_POOL = 1 << 15  # trials below which a pool costs more than it saves
+_MAX_ROWS = 1 << 16  # candidates per kernel call; bounds the kernels' temporaries
 
 
 def _generator(seed: int, stream: int, column: int, blocks: int) -> np.random.Generator:
@@ -183,14 +160,21 @@ def trial_uniforms(seed: int, start: int, count: int, stream: int = STREAM_FRING
         raise ValueError("start and count must be >= 0")
     out = np.empty((count, WORDS_PER_TRIAL), order="F")
 
-    def fill(lo: int, hi: int) -> None:
-        first = start + lo
-        for c in range(WORDS_PER_TRIAL):
-            gen = _generator(seed, stream, c, first // 4)
-            gen.random(first % 4)  # the words of earlier trials in the first block
-            gen.random(out=out[lo:hi, c])
+    def fill(c: int) -> None:
+        gen = _generator(seed, stream, c, start // 4)
+        gen.random(start % 4)  # the words of earlier trials in the first block
+        gen.random(out=out[:, c])
 
-    _split(count, fill)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if cpus == 1 or count < _MIN_POOL:
+        for c in range(WORDS_PER_TRIAL):
+            fill(c)
+    else:
+        # imported here: concurrent.futures costs ~10 ms to load, paid only by engine runs
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(min(cpus, WORDS_PER_TRIAL)) as pool:
+            list(pool.map(fill, range(WORDS_PER_TRIAL)))
     return out
 
 
@@ -213,9 +197,9 @@ def _tally(
 ) -> np.ndarray:
     """Sum of the int64 tallies part(trial indices, rows) over the candidates of every chunk of [0, total).
 
-    Each chunk's screens are drawn on the calling thread; the mask runs
-    over slices of the chunk's trials and part over slices of its
-    candidates, both those of :func:`_split`.
+    Everything but the screen fill runs on the calling thread; part sees
+    at most ``_MAX_ROWS`` candidates per call, and runs at least once per
+    chunk, even on one without candidates.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
@@ -223,12 +207,10 @@ def _tally(
     rank = 0  # candidates in earlier chunks
     for start in range(0, total, chunk_size):
         u = trial_uniforms(seed, start, min(chunk_size, total - start), stream)
-        idx = np.concatenate(_split(len(u), lambda lo, hi: lo + np.flatnonzero(_candidates(proto, u[lo:hi]))))
-
-        def run(lo: int, hi: int) -> np.ndarray:
-            return part(start + idx[lo:hi], _candidate_rows(u[idx[lo:hi]], seed, stream, rank + lo))
-
-        tally += sum(_split(len(idx), run))
+        idx = np.flatnonzero(_candidates(proto, u))
+        for lo in range(0, max(len(idx), 1), _MAX_ROWS):
+            block = idx[lo : lo + _MAX_ROWS]
+            tally += part(start + block, _candidate_rows(u[block], seed, stream, rank + lo))
         rank += len(idx)
         del u  # free this chunk before the next one is drawn
     return tally
@@ -462,10 +444,9 @@ def _correlation_batch(proto: _Protocol, u: np.ndarray):
         (proto.arm_a, n_a, _COL_STOKES_A, as_a),
         (proto.arm_b, n_b, _COL_STOKES_B, as_b),
     ):
-        s_click = np.zeros(n.shape, dtype=bool)
-        for k, col in enumerate(cols):
-            s_click |= (n > k) & (u[:, col] < arm.eta)
-        out.append((s_click, as_click))
+        # unmixed, a channel's Stokes click is either port's: u < eta
+        s1, s2 = _stokes_ports(u, n, cols, arm.eta)
+        out.append((s1 | s2, as_click))
     return out
 
 

@@ -3,8 +3,9 @@
 Chunk invariance: every trial's screen words are addressed by its index,
 and the k-th candidate of a run takes row k of the candidate-row stream
 whatever chunk it falls in, so any chunk size in [1, total] must give the
-record of the default chunking, and so must chunks large enough to be
-split across threads, whose candidate slices start at rank offsets.
+record of the default chunking, and so must chunks large enough for a
+pooled screen fill and for several candidate blocks, each starting at a
+rank offset, against inline fills and single blocks.
 
 Fuzzed configs: whatever a config file holds, a closed-form subcommand
 exits 0, or exits 1 with an ``error:`` line, and never with a traceback.
@@ -71,10 +72,11 @@ def test_any_chunk_size_gives_the_default_record(bright_link, default_records, c
 
 
 def test_records_equal_across_slicing(bright_link):
-    # 3 * 2^17 trials per mode. 7001-row chunks run inline as one slice each;
-    # the default 2^18-row chunks (a full and a half one) and one 2^20-row
-    # chunk split into 2^16-row slices on every CPU, and so do their
-    # candidates, about a third of the trials at these chi
+    # 3 * 2^17 trials per mode. 7001-row chunks fill inline and hold one
+    # candidate block each; the default 2^18-row chunks (a full and a half
+    # one) and one 2^20-row chunk fill on a pool when the process may use
+    # more than one CPU, and their candidates, about a third of the trials
+    # at these chi, run in 2^16-row blocks from rank offsets
     trials_per_theta = (3 << 17) // THETAS.size
     sliced = [records(bright_link, trials_per_theta, **kw) for kw in ({}, {"chunk_size": 1 << 20})]
     assert sliced == [records(bright_link, trials_per_theta, chunk_size=7001)] * 2

@@ -53,13 +53,14 @@ class TestTrialStreams:
                 st.trial_uniforms(99, start, count, FREE_STREAM), full[start : start + count]
             )
 
-    @pytest.mark.parametrize("cpus", [1, 3, 5])
+    @pytest.mark.parametrize("cpus", [1, 3, 5, 7])
     def test_split_fill_is_one_philox_stream(self, monkeypatch, cpus):
-        # an odd start puts every slice offset off the chunk's own grid and
-        # inside a Philox block; more threads than cores and a short switch
-        # interval interleave the fills
+        # an odd start puts each stream's first word inside a Philox block;
+        # a pool of 3, 5 or 6 threads (7 CPUs, more than the six streams),
+        # more threads than cores and a short switch interval interleave the fills
         use_cpus(monkeypatch, cpus)
-        seed, start, count = 99, 1001, 5 * st._MAX_SLICE + 7
+        seed, start, count = 99, 1001, 327_687
+        assert count >= st._MIN_POOL
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -237,15 +238,32 @@ class TestLinkTrial:
         ],
         ids=["fringe", "pairs"],
     )
-    def test_unequal_eta_raises_from_every_slice(self, lattice_node, clock_mode, monkeypatch, run):
+    def test_unequal_eta_raises_on_the_caller(self, lattice_node, clock_mode, monkeypatch, run):
+        # a pooled chunk: the error comes from the kernel on the calling
+        # thread, and the fill's pool leaves no thread behind
         use_cpus(monkeypatch, 4)
         other = dataclasses.replace(lattice_node, eta=0.2)
         cfg = LinkConfig(node_l=lattice_node, node_r=other, noise=NoiseField(sigma_b=1e-3),
                          mode_l=clock_mode, mode_r=clock_mode)
         threads = threading.active_count()
         with pytest.raises(ValueError, match="per-arm detection efficiencies must be equal"):
-            run(cfg, 8 * st._MIN_SLICE)
+            run(cfg, 4 * st._MIN_POOL)
         assert threading.active_count() == threads
+
+    def test_mask_and_kernels_run_on_the_caller(self, plain_link, monkeypatch):
+        # 4 CPUs and a pooled chunk: only the screen fill may leave the calling thread
+        use_cpus(monkeypatch, 4)
+        idents = []
+        for name in ("_candidates", "_fringe_batch", "_pair_batch"):
+            def traced(*args, _fn=getattr(st, name), _name=name):
+                idents.append((_name, threading.get_ident()))
+                return _fn(*args)
+
+            monkeypatch.setattr(st, name, traced)
+        st.simulate_link_fringe(plain_link, 0.0, trials_per_theta=st._MIN_POOL // 4, thetas=np.zeros(8), seed=1)
+        st.simulate_link_pairs(plain_link, 0.0, trials=2 * st._MIN_POOL, seed=1)
+        assert {name for name, _ in idents} == {"_candidates", "_fringe_batch", "_pair_batch"}
+        assert {ident for _, ident in idents} == {threading.main_thread().ident}
 
 
 def dense_rows(proto, seed: int, stream: int, count: int) -> np.ndarray:
