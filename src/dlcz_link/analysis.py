@@ -234,15 +234,75 @@ def fit_visibility_dephasing(
     )
 
 
+def _brent(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    xtol: float,
+    rtol: float = 4.0 * np.finfo(float).eps,
+    maxiter: int = 100,
+) -> float:
+    """Root of ``f`` in [a, b] by Brent's method, stopping at a bracket of xtol + rtol |x|.
+
+    R. P. Brent, *Algorithms for Minimization without Derivatives* (1973),
+    ch. 4, transcribed step for step from scipy's ``brentq.c`` so that the
+    roots equal ``scipy.optimize.brentq``'s bit for bit. A NaN value of
+    ``f`` raises ValueError; running out of iterations raises FitError.
+    """
+
+    def fx(x: float) -> float:
+        y = float(f(x))
+        if math.isnan(y):
+            raise ValueError(f"the function value at x={x:.6g} is NaN; the root search cannot continue")
+        return y
+
+    xpre, xcur = a, b
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # xcur is the better end
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            bound = 3.0 * abs(sbis) - delta
+            if 2.0 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = fx(xcur)
+    raise FitError(f"root search did not converge in {maxiter} iterations (last x = {xcur!r})")
+
+
 def _first_zero(inner: Callable[[float], float], xtol: float, t_max: float) -> float:
     """Smallest positive root of a decreasing sign-changing function.
 
-    Expands the bracket geometrically, bisects to ``xtol`` and verifies the
-    function stays non-positive beyond the root on the bracket used.
+    Expands the bracket geometrically, runs Brent's method (:func:`_brent`)
+    to ``xtol`` and verifies the function stays non-positive beyond the root
+    on the bracket used.
     """
-    # imported here: scipy.optimize costs ~0.4 s to load, paid only by lifetime roots
-    from scipy.optimize import brentq
-
     f0 = inner(0.0)
     if f0 <= 0.0:
         raise ValueError("link never entangled under these parameters (C(0) = 0)")
@@ -251,7 +311,7 @@ def _first_zero(inner: Callable[[float], float], xtol: float, t_max: float) -> f
         hi *= 2.0
         if hi > t_max:
             raise FitError(f"no concurrence zero crossing below {t_max} s")
-    root = float(brentq(inner, hi / 2.0 if inner(hi / 2.0) > 0 else 0.0, hi, xtol=xtol))
+    root = _brent(inner, hi / 2.0 if inner(hi / 2.0) > 0 else 0.0, hi, xtol=xtol)
     for t in np.linspace(root + xtol, hi, 8):
         if inner(float(t)) > 0.0:
             raise FitError("concurrence is not monotone beyond its first zero crossing")

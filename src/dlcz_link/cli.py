@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, model, stochastic
+from . import analysis, model
 from .analysis import DecaySeries, FitError
 from .config import ConfigError, RunConfig, config_from_dict, read_config, sweep_times
 from .params import GaussianAmplitude, LinkConfig, NoiseField
@@ -88,6 +88,9 @@ def cmd_mc(cfg: RunConfig):
     configured trial budget each (the fringe splits it over the theta
     bins); sweep point i uses seed + i so points are independent draws.
     """
+    # imported here: no other subcommand runs the engine
+    from . import stochastic
+
     times = sweep_times(cfg.sweep)
     mc = cfg.mc
     per_theta = max(1, mc.trials // mc.theta_points)
