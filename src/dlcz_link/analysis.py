@@ -3,8 +3,8 @@
 Fits are damped least squares (scipy's Levenberg-Marquardt) restarted from
 a coarse grid of initial guesses; decay rates are fitted as rates (1/tau)
 so that flat data lands on the exact infinite-lifetime sentinel instead of
-a large float. scipy is imported only by the paths that need it, the fits
-and the lifetime root, so importing this module does not load it.
+a large float. scipy is imported only by the fits, so importing this
+module, and finding lifetime roots by Brent's method, do not load it.
 
 One lifetime root, :func:`entanglement_lifetime`, serves every two-arm
 :class:`~dlcz_link.params.LinkConfig`: a two-node link or a pair of modes
@@ -239,7 +239,7 @@ def _brent(
     a: float,
     b: float,
     xtol: float,
-    rtol: float = 4.0 * np.finfo(float).eps,
+    rtol: float = 4.0 * math.ulp(1.0),
     maxiter: int = 100,
 ) -> float:
     """Root of ``f`` in [a, b] by Brent's method, stopping at a bracket of xtol + rtol |x|.
@@ -277,12 +277,15 @@ def _brent(
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C gets an infinite or NaN step here, which bisects
+                stry = math.inf
             bound = 3.0 * abs(sbis) - delta
             if 2.0 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
                 spre, scur = scur, stry  # good short step
@@ -299,9 +302,11 @@ def _brent(
 def _first_zero(inner: Callable[[float], float], xtol: float, t_max: float) -> float:
     """Smallest positive root of a decreasing sign-changing function.
 
-    Expands the bracket geometrically, runs Brent's method (:func:`_brent`)
-    to ``xtol`` and verifies the function stays non-positive beyond the root
-    on the bracket used.
+    Doubles the bracket from 1 ms until it holds the root, or halves it
+    onto a root below 1 ms, whose tolerance is then at most 1e-6 of the
+    bracket so that an absolute ``xtol`` cannot swamp it. Runs Brent's
+    method (:func:`_brent`) on that bracket and verifies the function stays
+    non-positive beyond the root up to the end of the doubled bracket.
     """
     f0 = inner(0.0)
     if f0 <= 0.0:
@@ -311,8 +316,13 @@ def _first_zero(inner: Callable[[float], float], xtol: float, t_max: float) -> f
         hi *= 2.0
         if hi > t_max:
             raise FitError(f"no concurrence zero crossing below {t_max} s")
-    root = _brent(inner, hi / 2.0 if inner(hi / 2.0) > 0 else 0.0, hi, xtol=xtol)
-    for t in np.linspace(root + xtol, hi, 8):
+    top = hi
+    if top == 1e-3:  # never doubled: the root is at most 1 ms
+        while inner(hi / 2.0) <= 0.0:
+            hi /= 2.0
+        xtol = min(xtol, 1e-6 * hi)
+    root = _brent(inner, hi / 2.0, hi, xtol=xtol)
+    for t in np.linspace(root + xtol, top, 8):
         if inner(float(t)) > 0.0:
             raise FitError("concurrence is not monotone beyond its first zero crossing")
     return root
@@ -321,13 +331,16 @@ def _first_zero(inner: Callable[[float], float], xtol: float, t_max: float) -> f
 def entanglement_lifetime(cfg: LinkConfig, *, xtol: float = 1e-4, t_max: float = 1e4) -> float:
     """Smallest storage time with zero concurrence, to 0.1 ms by default.
 
+    A root below 1 ms is found to within 1e-6 T, where [T/2, T] is the
+    power-of-two bracket that holds it, whatever ``xtol`` is: pairs of
+    modes in one ensemble, which cross within microseconds, need no finer
+    ``xtol``.
+
     The root is the first zero of V(t) - 2 sqrt((1 - p_c)/g(t)) with
     p_c = gamma(t) eta, all from :func:`dlcz_link.model.link_curves`.
     gamma, g, V and tau_0 do not depend on eta, so the lifetime depends on
     eta only through p_c in that two-photon threshold: it grows with eta,
-    and noticeably so wherever gamma(T_s) eta is not small. Pairs of modes
-    in one ensemble cross within microseconds; pass a finer ``xtol``
-    (1e-7 s) for them.
+    and noticeably so wherever gamma(T_s) eta is not small.
     """
 
     def inner(t: float) -> float:

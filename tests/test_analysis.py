@@ -1,9 +1,12 @@
 """Fitters, lifetime root finding and the lifetime/efficiency table."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 from dlcz_link import (
     EnsembleParams,
@@ -15,6 +18,7 @@ from dlcz_link import (
 )
 from dlcz_link import analysis, model
 from dlcz_link.analysis import DecaySeries, FitError
+from dlcz_link.config import default_config
 
 from conftest import link_at, matched_pairing
 
@@ -183,6 +187,22 @@ class TestEntanglementLifetime:
         ]
         assert all(a >= b - 1e-4 for a, b in zip(lifetimes, lifetimes[1:]))
 
+    @pytest.mark.parametrize("sigma_b", [1000.0, 10.0, 0.1])
+    def test_sub_millisecond_root_to_a_part_per_million(self, sigma_b):
+        # an absolute 0.1 ms xtol once gave 51.4 us for both 1000 G and 10 G,
+        # whose first zeros are 27.5 ns and 2.75 us
+        link = replace(default_config().link, noise=NoiseField(sigma_b=sigma_b))
+        eta = link.node_l.eta
+
+        def positive(t: float) -> bool:
+            pt = model.link_curves(link, t)
+            return float(pt.visibility - 2.0 * np.sqrt((1.0 - pt.gamma * eta) / pt.g)) > 0.0
+
+        lo, hi = 0.0, 1e-3
+        while lo < (mid := 0.5 * (lo + hi)) < hi:  # bisect to the last float
+            lo, hi = (mid, hi) if positive(mid) else (lo, mid)
+        assert analysis.entanglement_lifetime(link) == pytest.approx(hi, rel=1e-6, abs=0.0)
+
     def test_root_brackets_concurrence_sign(self, lattice_node, clock_mode):
         cfg = link_at(lattice_node, clock_mode, 1e-3, zeta=0.85)
         t_s = analysis.entanglement_lifetime(cfg)
@@ -232,3 +252,89 @@ class TestModePairLifetime:
         assert 20e-6 < mixed < 200e-6
         assert matched > 1e-3
         assert matched / mixed > 10.0
+
+
+def _scipy_brent(f, a, b, xtol, maxiter=100):
+    from scipy.optimize import brentq  # the package itself never loads it for a root
+
+    return brentq(f, a, b, xtol=xtol, maxiter=maxiter)
+
+
+def _outcome(root, f, a: float, b: float, xtol: float) -> str:
+    try:
+        return root(f, a, b, xtol=xtol).hex()
+    except ValueError:
+        return "ValueError"
+    except RuntimeError:  # scipy's non-convergence; FitError is one too
+        return "RuntimeError"
+
+
+# f(r) == 0 for each shape, so r = a or r = b puts an exact zero on an end
+_SHAPES = {
+    "cubic": lambda r, c: lambda x: (x - r) * (1.0 + c * x * x) + c * (x - r) ** 3,
+    "exp": lambda r, c: lambda x: math.expm1(c * (x - r)),
+    "kink": lambda r, c: lambda x: (x - r) * abs(x - r) ** 0.5 - c * (x - r),
+    "step": lambda r, c: lambda x: math.tanh(c * (x - r)) * (1.0 + x * x),
+}
+
+
+class TestBrent:
+    """``_brent`` against the installed ``scipy.optimize.brentq``, bit for bit."""
+
+    @staticmethod
+    def lifetimes() -> list[str]:
+        # every default Table-1 row, the criterion-9 eta grid, the mode-pair roots
+        cfg = default_config()
+        links = [replace(cfg.link, noise=NoiseField(sigma_b=s)) for s in cfg.sigma_b_list]
+        roots = [analysis.entanglement_lifetime(link) for link in links]
+        for link in links:
+            for eta in (0.1, 0.3, 0.5, 0.7, 0.9):
+                node_l, node_r = replace(link.node_l, eta=eta), replace(link.node_r, eta=eta)
+                roots.append(analysis.entanglement_lifetime(replace(link, node_l=node_l, node_r=node_r)))
+        pair = cfg.mode_pair
+        for arms in (pair, matched_pairing(pair)):
+            roots.append(analysis.entanglement_lifetime(arms, xtol=1e-7))
+        return [t.hex() for t in roots]
+
+    def test_lifetimes_match_scipy(self, monkeypatch):
+        ours = self.lifetimes()
+        monkeypatch.setattr(analysis, "_brent", _scipy_brent)
+        assert self.lifetimes() == ours
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=hs.sampled_from(sorted(_SHAPES)),
+        c=hs.floats(0.0, 5.0),
+        a=hs.floats(-10.0, 10.0),
+        b=hs.floats(-10.0, 10.0),
+        root_at=hs.sampled_from(["a", "b", "free"]),
+        r=hs.floats(-12.0, 12.0),
+        log_xtol=hs.floats(-14.0, 0.0),
+    )
+    @example(shape="cubic", c=1.0, a=-1.0, b=2.0, root_at="a", r=0.0, log_xtol=-8.0)
+    @example(shape="exp", c=1.0, a=-1.0, b=2.0, root_at="b", r=0.0, log_xtol=-8.0)
+    @example(shape="cubic", c=1.0, a=1.0, b=2.0, root_at="free", r=0.0, log_xtol=-8.0)
+    @example(shape="exp", c=1.3, a=-9.8, b=6.5, root_at="free", r=-0.5, log_xtol=-5.0)
+    @example(shape="cubic", c=4.5, a=-9.8, b=5.7, root_at="free", r=-2.9, log_xtol=-10.0)
+    @example(shape="step", c=1.3e-177, a=-1.0, b=2.0, root_at="free", r=0.0, log_xtol=0.0)  # 0 / 0
+    def test_random_brackets_match_scipy(self, shape, c, a, b, root_at, r, log_xtol):
+        r = {"a": a, "b": b}.get(root_at, r)
+        f = _SHAPES[shape](r, c)
+        xtol = 10.0**log_xtol
+        ours = _outcome(analysis._brent, f, a, b, xtol)
+        assert ours == _outcome(_scipy_brent, f, a, b, xtol)
+        fa, fb = f(a), f(b)
+        if fa == 0.0:
+            assert ours == a.hex()
+        elif fb == 0.0:
+            assert ours == b.hex()
+        elif (fa > 0.0) == (fb > 0.0):
+            assert ours == "ValueError"
+
+    def test_nan_value_is_a_value_error_naming_x(self):
+        with pytest.raises(ValueError, match=r"x=0\.5 is NaN"):
+            analysis._brent(lambda x: math.nan if x == 0.5 else x - 0.25, 0.0, 0.5, xtol=1e-9)
+
+    def test_running_out_of_iterations_is_a_fit_error(self):
+        with pytest.raises(FitError, match="did not converge in 1 iterations"):
+            analysis._brent(lambda x: x**3 - 0.3, 0.0, 1.0, xtol=1e-12, maxiter=1)

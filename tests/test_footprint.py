@@ -16,6 +16,7 @@ import pytest
 from dlcz_link import stochastic as st
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_python(code: str) -> str:
@@ -31,26 +32,54 @@ def run_python(code: str) -> str:
     return proc.stdout
 
 
+def scipy_modules(modules: list[str]) -> list[str]:
+    return [m for m in modules if m == "scipy" or m.startswith("scipy.")]
+
+
 @pytest.fixture(scope="module")
 def closed_form_run(tmp_path_factory) -> dict:
-    """Loaded modules and live threads after ``curve`` and every figure in a fresh interpreter."""
+    """Loaded modules and live threads after ``curve``, ``table1`` and every figure in a fresh interpreter."""
     code = f"""
 import json, sys, threading
 from dlcz_link import cli
 
 out = {str(tmp_path_factory.mktemp("closed_form") / "out.csv")!r}
-for argv in [["curve"]] + [["figure", "--figure-id", fid] for fid in cli.FIGURE_IDS]:
+for argv in [["curve"], ["table1"]] + [["figure", "--figure-id", fid] for fid in cli.FIGURE_IDS]:
     assert cli.main([*argv, "--output", out]) == 0, argv
 print(json.dumps({{"modules": sorted(sys.modules), "threads": threading.active_count()}}))
 """
     return json.loads(run_python(code))
 
 
+def test_cli_import_loads_neither_scipy_nor_the_engine():
+    code = "import json, sys\nimport dlcz_link.cli\nprint(json.dumps(sorted(sys.modules)))"
+    modules = json.loads(run_python(code))
+    assert scipy_modules(modules) == []
+    assert "dlcz_link.stochastic" not in modules
+
+
 def test_closed_form_subcommands_load_no_scipy(closed_form_run):
-    # curve and the figures are closed forms over numpy; scipy (about 0.4 s
-    # of imports) is for fits, lifetime roots and jittered fringe runs only
-    modules = closed_form_run["modules"]
-    assert [m for m in modules if m == "scipy" or m.startswith("scipy.")] == []
+    # curve, table1 and the figures are closed forms over numpy, and the
+    # lifetime roots are a transcribed Brent method; scipy (about 0.5 s of
+    # imports) is for fits and jittered fringe runs only
+    assert scipy_modules(closed_form_run["modules"]) == []
+
+
+def test_closed_form_subcommands_do_not_load_the_engine(closed_form_run):
+    # dlcz_link.stochastic (about 15 ms to import) is for mc only
+    assert "dlcz_link.stochastic" not in closed_form_run["modules"]
+
+
+def test_table1_runs_with_scipy_unimportable(tmp_path):
+    out = tmp_path / "table1.csv"
+    code = f"""
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from dlcz_link import cli
+raise SystemExit(cli.main(["table1", "--output", {str(out)!r}]))
+"""
+    run_python(code)
+    assert out.read_bytes() == (GOLDEN / "table1.csv").read_bytes()
 
 
 def test_closed_form_subcommands_start_no_thread(closed_form_run):
