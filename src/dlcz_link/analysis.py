@@ -41,7 +41,7 @@ __all__ = [
 
 
 class FitError(RuntimeError):
-    """A fit failed to converge or produced an unphysical parameter."""
+    """A fit or a lifetime root failed to converge, or a fit produced an unphysical parameter."""
 
 
 def _exp(x):
