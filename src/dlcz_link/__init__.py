@@ -25,7 +25,6 @@ from .params import (
     DecayModel,
     EnsembleParams,
     ExponentialEfficiency,
-    FromMotion,
     GaussianAmplitude,
     LinkConfig,
     MotionBroadeningParams,
@@ -41,7 +40,6 @@ __all__ = [
     "DecayModel",
     "EnsembleParams",
     "ExponentialEfficiency",
-    "FromMotion",
     "GaussianAmplitude",
     "LinkConfig",
     "MotionBroadeningParams",

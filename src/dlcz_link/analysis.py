@@ -8,7 +8,7 @@ module, and finding lifetime roots by Brent's method, do not load it.
 
 One lifetime root, :func:`entanglement_lifetime`, serves every two-arm
 :class:`~dlcz_link.params.LinkConfig`: a two-node link or a pair of modes
-in one ensemble. It finds the first zero of the concurrence of
+in one ensemble. It finds the first zero of the concurrence margin of
 :func:`dlcz_link.model.link_curves`, whose tau_0 is
 1/(2 pi (mu'_a + mu'_b) sigma_b) for independent supplies and
 1/(2 pi |mu'_a - mu'_b| sigma_b) for a shared one.
@@ -336,19 +336,13 @@ def entanglement_lifetime(cfg: LinkConfig, *, xtol: float = 1e-4, t_max: float =
     modes in one ensemble, which cross within microseconds, need no finer
     ``xtol``.
 
-    The root is the first zero of V(t) - 2 sqrt((1 - p_c)/g(t)) with
-    p_c = gamma(t) eta, all from :func:`dlcz_link.model.link_curves`.
-    gamma, g, V and tau_0 do not depend on eta, so the lifetime depends on
-    eta only through p_c in that two-photon threshold: it grows with eta,
-    and noticeably so wherever gamma(T_s) eta is not small.
+    The root is the first zero of the margin V(t) - 2 sqrt((1 - p_c)/g(t))
+    of :func:`dlcz_link.model.link_curves`, p_c = gamma(t) eta. gamma, g, V
+    and tau_0 do not depend on eta, so the lifetime depends on eta only
+    through p_c in that two-photon threshold: it grows with eta, and
+    noticeably so wherever gamma(T_s) eta is not small.
     """
-
-    def inner(t: float) -> float:
-        pt = model.link_curves(cfg, t)
-        p_c = float(pt.gamma) * cfg.node_l.eta
-        return float(model.concurrence_margin(p_c, pt.visibility, pt.g))
-
-    return _first_zero(inner, xtol, t_max)
+    return _first_zero(lambda t: float(model.link_curves(cfg, t).margin), xtol, t_max)
 
 
 def link_efficiency(t_s: float, t_g: float) -> float:

@@ -2,8 +2,9 @@
 
 Every function here is a pure formula: spin-wave amplitude/efficiency decay,
 the dephasing lifetime set by Lorentzian shot-to-shot field noise, the
-Stokes/anti-Stokes cross-correlation, fringe visibility and concurrence. All functions accept scalars or numpy arrays for the time
-argument and are reentrant (no shared state).
+Stokes/anti-Stokes cross-correlation, fringe visibility and concurrence.
+All functions accept scalars or numpy arrays for the time argument and are
+reentrant (no shared state).
 
 :func:`link_curves` is the one closed form of a two-arm
 :class:`~dlcz_link.params.LinkConfig`, whose arms are the nodes of a
@@ -11,7 +12,7 @@ two-node link or two modes of one ensemble. It averages gamma and g over
 the arms, sets p_c = gamma eta, and takes tau_0 from the phase
 2 pi t (mu'_a dB_a - mu'_b dB_b): tau_0 = 1/(2 pi (mu'_a + mu'_b) sigma_b)
 for independent supplies and 1/(2 pi |mu'_a - mu'_b| sigma_b) for a shared
-one.
+one. It alone computes p_c: the lifetime root reads its concurrence margin.
 
 Units follow :mod:`dlcz_link.params`: seconds, Gauss, Hz/G.
 """
@@ -27,7 +28,6 @@ from .params import (
     DecayModel,
     EnsembleParams,
     ExponentialEfficiency,
-    FromMotion,
     GaussianAmplitude,
     LinkConfig,
     MotionBroadeningParams,
@@ -69,17 +69,13 @@ def motion_lifetimes(p: MotionBroadeningParams) -> tuple[float, float, float]:
 
 
 def amplitude_factor(decay: DecayModel, t: ArrayLike) -> ArrayLike:
-    """Spin-wave amplitude factor D(t), in (0, 1], for any decay variant."""
+    """Spin-wave amplitude factor D(t), in (0, 1], for either decay law."""
     _check_time(t)
     t = np.asarray(t, dtype=float) if isinstance(t, np.ndarray) else float(t)
     if isinstance(decay, GaussianAmplitude):
         return np.exp(-(t**2) / (2.0 * decay.tau_d**2))
     if isinstance(decay, ExponentialEfficiency):
         return np.exp(-t / (2.0 * decay.tau_d))
-    if isinstance(decay, FromMotion):
-        tau_1, tau_2, _ = motion_lifetimes(decay.motion)
-        out = np.exp(-(t**2) / (2.0 * tau_1**2)) * np.exp(-(t**2) / (2.0 * tau_2**2))
-        return out
     raise TypeError(f"unknown decay model: {decay!r}")
 
 
@@ -194,11 +190,11 @@ def concurrence_param(p_c: ArrayLike, v: ArrayLike, g: ArrayLike) -> ArrayLike:
 class LinkPoint:
     """Closed-form link curves at one or more storage times."""
 
-    time: ArrayLike
     gamma: ArrayLike
     g: ArrayLike
     tau_0: float
     visibility: ArrayLike
+    margin: ArrayLike  # concurrence_margin at p_c = gamma eta; its first zero is the lifetime
     concurrence: ArrayLike
 
 
@@ -230,5 +226,6 @@ def link_curves(cfg: LinkConfig, t: ArrayLike) -> LinkPoint:
     contrast = cfg.zeta * cfg.xi_prime * (math.exp(-0.5 * jitter**2) if jitter < 100.0 else 0.0)
     vis = visibility(g, t, tau_0, zeta=contrast)
     p_c = gamma * node_a.eta
+    margin = concurrence_margin(p_c, vis, g)
     conc = concurrence_param(p_c, vis, g)
-    return LinkPoint(time=t, gamma=gamma, g=g, tau_0=tau_0, visibility=vis, concurrence=conc)
+    return LinkPoint(gamma=gamma, g=g, tau_0=tau_0, visibility=vis, margin=margin, concurrence=conc)

@@ -102,15 +102,9 @@ class ExponentialEfficiency:
             raise ValueError(f"tau_d: expected > 0, got {self.tau_d}")
 
 
-@dataclass(frozen=True)
-class FromMotion:
-    """Gaussian decay with lifetimes derived from motion/gradient parameters."""
-
-    motion: MotionBroadeningParams
-
-
-#: One of the three decay-law variants accepted by the model operations.
-DecayModel = GaussianAmplitude | ExponentialEfficiency | FromMotion
+#: One of the two decay laws accepted by the model operations; motion and
+#: gradient dephasing is ``GaussianAmplitude(model.motion_lifetimes(p)[2])``.
+DecayModel = GaussianAmplitude | ExponentialEfficiency
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,10 @@ Only the heralded single-excitation component interferes coherently;
 multi-pair components, retrieval noise and backgrounds pick beam-splitter
 ports at random (phase-incoherent, additive), and the retrieval-noise
 channel fires per node with the trial-averaged probability
-chi (1 - gamma(t)) xi_se, uncorrelated with the herald.
+chi (1 - gamma(t)) xi_se, uncorrelated with the herald. Every mode applies
+one anti-Stokes click rule to these photons: a photon clicks with its
+probability times that of reaching the detector, eta per channel unmixed
+and eta/2 behind the fringe-mode splitter.
 
 scipy is imported only by the path that needs it: the Gaussian quantile of
 the phase jitter, in fringe runs with ``jitter_rms > 0``.
@@ -125,6 +128,9 @@ _COL_BG_A = 19
 _COL_BG_B = 20
 _COL_JITTER = 21
 _ROW_WIDTH = 22
+# per arm: pair number, Stokes ports, retrieval, anti-Stokes ports, retrieval noise, background
+_ARM_COLS_A = (_COL_N_A, _COL_STOKES_A, _COL_RETRIEVE_A, _COL_PORT_A, _COL_SE_A, _COL_BG_A)
+_ARM_COLS_B = (_COL_N_B, _COL_STOKES_B, _COL_RETRIEVE_B, _COL_PORT_B, _COL_SE_B, _COL_BG_B)
 
 # the screen columns, in the order of trial_uniforms's columns and of their
 # stream keys; a candidate's 16 other words fill _ROW_COLS in order
@@ -343,6 +349,23 @@ def _field_samples(u: np.ndarray, proto: _Protocol):
     return db_a, lorentzian_from_uniform(proto.sigma_b, u[:, _COL_FIELD_B])
 
 
+def _anti_stokes(arm: _ArmPhysics, n: np.ndarray, u: np.ndarray, cols: tuple, port: float, live=True):
+    """One arm's anti-Stokes clicks through a detector port of probability ``port`` (eta, or eta/2 mixed).
+
+    A retrieved photon (per pair, retrieval uniform below gamma) clicks when
+    its port uniform is below ``port``, a noise photon when its uniform is
+    below its emission probability times ``port``. ``live`` masks the
+    retrieved photons that click this way; the noise channels always count.
+    """
+    _, _, rcols, pcols, col_se, col_bg = cols
+    click = np.zeros(n.shape, dtype=bool)
+    for k in range(2):
+        click |= live & (n > k) & (u[:, rcols[k]] < arm.gamma) & (u[:, pcols[k]] < port)
+    for col, emit_prob in ((col_se, arm.se_noise), (col_bg, arm.z_noise)):
+        click |= u[:, col] < emit_prob * port
+    return click
+
+
 def _fringe_batch(proto: _Protocol, theta: np.ndarray, u: np.ndarray):
     """Interference-mode trials; returns the Stokes port flags and D_aS1 clicks."""
     a, b = proto.arm_a, proto.arm_b
@@ -383,42 +406,19 @@ def _fringe_batch(proto: _Protocol, theta: np.ndarray, u: np.ndarray):
     p1 = eta * (base + sign * cross * np.cos(phase)) / (2.0 * w_sum)
     click1 = coherent & (u[:, _COL_COHERENT] < p1)
 
-    # every other retrieved photon picks a port at random
-    for arm, n, rcols, pcols in (
-        (a, n_a, _COL_RETRIEVE_A, _COL_PORT_A),
-        (b, n_b, _COL_RETRIEVE_B, _COL_PORT_B),
-    ):
-        for k in range(2):
-            retrieved = incoherent & (n > k) & (u[:, rcols[k]] < arm.gamma)
-            click1 |= retrieved & (u[:, pcols[k]] < 0.5 * eta)
-
-    # additive noise channels (retrieval noise, background), phase-incoherent
-    for col, emit_prob in (
-        (_COL_SE_A, a.se_noise),
-        (_COL_BG_A, a.z_noise),
-        (_COL_SE_B, b.se_noise),
-        (_COL_BG_B, b.z_noise),
-    ):
-        click1 |= u[:, col] < 0.5 * (emit_prob * eta)
-
+    # every other retrieved photon, and every noise photon, picks a port at random
+    for arm, n, cols in ((a, n_a, _ARM_COLS_A), (b, n_b, _ARM_COLS_B)):
+        click1 |= _anti_stokes(arm, n, u, cols, 0.5 * eta, incoherent)
     return s1, s2, click1
 
 
-def _channel_clicks(proto: _Protocol, u: np.ndarray):
-    """Per-channel anti-Stokes clicks (no output mixing): which-node is definite."""
-    clicks = []
-    for arm, ncol, rcols, pcols, col_se, col_bg in (
-        (proto.arm_a, _COL_N_A, _COL_RETRIEVE_A, _COL_PORT_A, _COL_SE_A, _COL_BG_A),
-        (proto.arm_b, _COL_N_B, _COL_RETRIEVE_B, _COL_PORT_B, _COL_SE_B, _COL_BG_B),
-    ):
-        n = _thermal_counts(u[:, ncol], arm.chi)
-        click = np.zeros(n.shape, dtype=bool)
-        for k in range(2):
-            click |= (n > k) & (u[:, rcols[k]] < arm.gamma) & (u[:, pcols[k]] < arm.eta)
-        click |= u[:, col_se] < arm.se_noise * arm.eta
-        click |= u[:, col_bg] < arm.z_noise * arm.eta
-        clicks.append((n, click))
-    return clicks
+def _unmixed(proto: _Protocol, u: np.ndarray):
+    """Per arm, no output mixing: its two Stokes port clicks and its anti-Stokes click."""
+    out = []
+    for arm, cols in ((proto.arm_a, _ARM_COLS_A), (proto.arm_b, _ARM_COLS_B)):
+        n = _thermal_counts(u[:, cols[0]], arm.chi)
+        out.append((*_stokes_ports(u, n, cols[1], arm.eta), _anti_stokes(arm, n, u, cols, arm.eta)))
+    return out
 
 
 def _pair_batch(proto: _Protocol, u: np.ndarray):
@@ -429,25 +429,14 @@ def _pair_batch(proto: _Protocol, u: np.ndarray):
             "heralding shares the Stokes detectors between arms; per-arm "
             "detection efficiencies must be equal"
         )
-    (n_a, click_a), (n_b, click_b) = _channel_clicks(proto, u)
-    s1_a, _ = _stokes_ports(u, n_a, _COL_STOKES_A, a.eta)
-    s1_b, _ = _stokes_ports(u, n_b, _COL_STOKES_B, b.eta)
-    heralded = s1_a | s1_b
-    return heralded, click_a, click_b
+    (s1_a, _, click_a), (s1_b, _, click_b) = _unmixed(proto, u)
+    return s1_a | s1_b, click_a, click_b
 
 
 def _correlation_batch(proto: _Protocol, u: np.ndarray):
     """Correlation mode: per-channel Stokes and anti-Stokes clicks."""
-    (n_a, as_a), (n_b, as_b) = _channel_clicks(proto, u)
-    out = []
-    for arm, n, cols, as_click in (
-        (proto.arm_a, n_a, _COL_STOKES_A, as_a),
-        (proto.arm_b, n_b, _COL_STOKES_B, as_b),
-    ):
-        # unmixed, a channel's Stokes click is either port's: u < eta
-        s1, s2 = _stokes_ports(u, n, cols, arm.eta)
-        out.append((s1 | s2, as_click))
-    return out
+    # unmixed, a channel's Stokes click is either port's: u < eta
+    return [(s1 | s2, click) for s1, s2, click in _unmixed(proto, u)]
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +735,6 @@ class CountsStatistics:
     p01: float
     p10: float
     p11: float
-    pij_std_errors: tuple[float, float, float, float]
     visibility: VisibilityEstimate
     concurrence: float
     concurrence_std_error: float
@@ -768,7 +756,6 @@ def estimate_statistics(counts: CountsRecord) -> CountsStatistics:
     n = counts.pair_heralds
     pij = counts.pij_counts
     p = np.array([pij.n00, pij.n01, pij.n10, pij.n11], dtype=float) / n
-    p_se = tuple(float(x) for x in np.sqrt(p * (1.0 - p) / n))
 
     conc = model.concurrence_from_probs(p[0], p[1], p[2], p[3], min(vis.value, 1.0))
     # delta method: C = V(p01+p10) - 2 sqrt(p00 p11) for conditional (sum-1) probs
@@ -786,7 +773,6 @@ def estimate_statistics(counts: CountsRecord) -> CountsStatistics:
         p01=float(p[1]),
         p10=float(p[2]),
         p11=float(p[3]),
-        pij_std_errors=p_se,
         visibility=vis,
         concurrence=conc,
         concurrence_std_error=math.sqrt(max(var, 0.0)),

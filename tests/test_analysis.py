@@ -210,6 +210,18 @@ class TestEntanglementLifetime:
         assert float(model.link_curves(cfg, t_s - delta).concurrence) > 0.0
         assert float(model.link_curves(cfg, t_s + delta).concurrence) == 0.0
 
+    def test_default_table1_lifetimes_are_the_margin_zeros(self):
+        # every default row has a finite lifetime above 1 ms, so its root is found to the default xtol
+        cfg, xtol = default_config(), 1e-4
+        for row in analysis.make_table1(cfg.sigma_b_list, cfg.link, cfg.t_generation):
+            link = replace(cfg.link, noise=NoiseField(sigma_b=row.sigma_b, topology=cfg.link.noise.topology))
+            t_s = row.lifetime
+            assert 1e-3 < t_s < math.inf
+            assert model.link_curves(link, t_s - xtol).margin > 0.0 >= model.link_curves(link, t_s + xtol).margin
+            # the concurrence is gamma eta times the margin where that is positive
+            pt = model.link_curves(link, np.linspace(0.0, 2.0 * t_s, 41))
+            np.testing.assert_array_equal(pt.concurrence, np.maximum(0.0, pt.gamma * link.node_l.eta * pt.margin))
+
 
 class TestLinkEfficiency:
     def test_values(self):

@@ -15,7 +15,6 @@ from dlcz_link import (
     BOHR_MAGNETON_HZ_PER_G,
     EnsembleParams,
     ExponentialEfficiency,
-    FromMotion,
     GaussianAmplitude,
     LinkConfig,
     MotionBroadeningParams,
@@ -67,7 +66,7 @@ class TestMotionLifetimes:
         # velocity density must reproduce the amplitude factor
         delta_k, v_s = 1e5, 0.1
         p = MotionBroadeningParams(delta_k=delta_k, v_s=v_s)
-        decay = FromMotion(p)
+        decay = GaussianAmplitude(model.motion_lifetimes(p)[2])
         for t in (2e-5, 1e-4, 2e-4):
             norm = 1.0 / (math.sqrt(2.0 * math.pi) * v_s)
             real, _ = quad(
@@ -85,7 +84,7 @@ class TestAmplitudeFactor:
         [
             GaussianAmplitude(1e-3),
             ExponentialEfficiency(0.410),
-            FromMotion(MotionBroadeningParams(delta_k=1e5, v_s=0.1)),
+            GaussianAmplitude(model.motion_lifetimes(MotionBroadeningParams(delta_k=1e5, v_s=0.1))[2]),
         ],
     )
     def test_identity_at_zero(self, decay):
@@ -97,13 +96,15 @@ class TestAmplitudeFactor:
         )
 
     def test_motion_equals_gaussian_with_combined_lifetime(self):
-        # equal channel lifetimes tau: product law e^{-t^2/tau^2} = Gaussian(tau/sqrt(2))
+        # equal channel lifetimes tau: the product law e^{-t^2/tau^2} of motion and
+        # gradient is the Gaussian of the combined lifetime tau/sqrt(2)
         tau = 2e-4
         p = MotionBroadeningParams(delta_k=1e4, v_s=1.0 / (1e4 * tau), mu_prime=1e6, b_gradient=1e-3,
                                    cloud_length=1.0 / (2 * math.pi * 1e6 * 1e-3 * tau))
         t = np.array([0.0, 5e-5, 2e-4, 6e-4])
         combined = model.amplitude_factor(GaussianAmplitude(tau / math.sqrt(2.0)), t)
-        np.testing.assert_allclose(model.amplitude_factor(FromMotion(p), t), combined, rtol=1e-9)
+        motion = GaussianAmplitude(model.motion_lifetimes(p)[2])
+        np.testing.assert_allclose(model.amplitude_factor(motion, t), combined, rtol=1e-9)
 
     def test_exponential_matches_efficiency_law(self):
         d = ExponentialEfficiency(0.2)
@@ -130,7 +131,11 @@ class TestRetrievalEfficiency:
 
     @pytest.mark.parametrize(
         "decay",
-        [GaussianAmplitude(7e-4), ExponentialEfficiency(3e-3), FromMotion(MotionBroadeningParams(delta_k=1e5, v_s=0.2))],
+        [
+            GaussianAmplitude(7e-4),
+            ExponentialEfficiency(3e-3),
+            GaussianAmplitude(model.motion_lifetimes(MotionBroadeningParams(delta_k=1e5, v_s=0.2))[2]),
+        ],
     )
     def test_square_of_amplitude(self, decay):
         t = np.linspace(0.0, 2e-3, 9)

@@ -364,6 +364,108 @@ class TestHeraldFirst:
         assert st.simulate_link_correlation(setup, t, trials=30_000, **kw) == correlation
 
 
+def below(x: float) -> float:
+    return float(np.nextafter(x, 0.0))
+
+
+class TestClickThresholds:
+    """Hand-built rows at, and one float below, each click threshold of the three kernels.
+
+    Every comparison is a strict <: a uniform at its threshold does not
+    click and the float below it does. The dense oracle of TestHeraldFirst
+    runs these same kernels, so only rows with known answers pin the
+    thresholds and which port probability (eta/2 mixed, eta unmixed) each
+    mode uses.
+    """
+
+    ETA = 0.5
+    # chi = 0.01: P(n = 0) = 0.99010 and P(n <= 1) = 0.99990
+    PAIRS = {1: 0.995, 2: 0.99995}
+    # literal row columns of arm a and arm b: pair number, then slot k = 0, 1
+    # of the Stokes, retrieval and anti-Stokes port words, then the noise words
+    COLS = {
+        "a": dict(n=0, stokes=(2, 3), retrieve=(9, 10), port=(13, 14), se=17, bg=19),
+        "b": dict(n=1, stokes=(4, 5), retrieve=(11, 12), port=(15, 16), se=18, bg=20),
+    }
+
+    @pytest.fixture()
+    def proto(self):
+        node = EnsembleParams(chi=0.01, gamma_0=0.6, decay=ExponentialEfficiency(1.0), xi_se=0.5,
+                              z_noise=3e-3, eta=self.ETA)
+        return st._protocol(link_at(node, SpinWaveMode(mu_prime=0.0), 0.0), 0.0)
+
+    @staticmethod
+    def rows(cells: list[dict[int, float]]) -> np.ndarray:
+        """One row per {column: uniform}; every other word clicks nothing and both arms hold no pair."""
+        u = np.full((len(cells), st._ROW_WIDTH), 0.99)
+        u[:, [0, 1]] = 0.0
+        for row, cell in zip(u, cells):
+            row[list(cell)] = list(cell.values())
+        return u
+
+    @staticmethod
+    def kernels(proto, u: np.ndarray):
+        """Fringe (s1, s2, D_aS1), the pair herald, and per arm the pair and correlation clicks."""
+        fringe = st._fringe_batch(proto, np.zeros(len(u)), u)
+        herald, click_a, click_b = st._pair_batch(proto, u)
+        return fringe, herald, (click_a, click_b), st._correlation_batch(proto, u)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("arm", ["a", "b"])
+    def test_stokes_ports(self, proto, arm, k):
+        c, eta = self.COLS[arm], self.ETA
+        pair = {c["n"]: self.PAIRS[k + 1]}
+        u = self.rows([{**pair, c["stokes"][k]: v} for v in (below(eta / 2), eta / 2, below(eta), eta)])
+        (s1, s2, _), herald, _, channels = self.kernels(proto, u)
+        np.testing.assert_array_equal(s1, [True, False, False, False])
+        np.testing.assert_array_equal(s2, [False, True, True, False])
+        np.testing.assert_array_equal(herald, [True, False, False, False])
+        i = "ab".index(arm)
+        np.testing.assert_array_equal(channels[i][0], [True, True, True, False])
+        assert not channels[1 - i][0].any()
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("arm", ["a", "b"])
+    def test_retrieved_photon(self, proto, arm, k):
+        # no Stokes click, so in fringe mode the photon is incoherent and picks a port
+        c, eta, gamma = self.COLS[arm], self.ETA, proto.arm_a.gamma
+        pair = {c["n"]: self.PAIRS[k + 1]}
+        ports = (below(eta / 2), eta / 2, below(eta), eta)
+        cells = [{**pair, c["retrieve"][k]: 0.0, c["port"][k]: v} for v in ports]
+        cells += [{**pair, c["retrieve"][k]: v, c["port"][k]: 0.0} for v in (below(gamma), gamma)]
+        (_, _, c1), herald, clicks, channels = self.kernels(proto, self.rows(cells))
+        assert not herald.any()
+        np.testing.assert_array_equal(c1, [True, False, False, False, True, False])
+        i = "ab".index(arm)
+        for unmixed in (clicks, [a for _, a in channels]):
+            np.testing.assert_array_equal(unmixed[i], [True, True, True, False, True, False])
+            assert not unmixed[1 - i].any()
+
+    @pytest.mark.parametrize("channel", ["se", "bg"])
+    @pytest.mark.parametrize("arm", ["a", "b"])
+    def test_noise_photon(self, proto, arm, channel):
+        p = proto.arm_a.se_noise if channel == "se" else proto.arm_a.z_noise
+        thr = p * self.ETA
+        u = self.rows([{self.COLS[arm][channel]: v} for v in (below(thr / 2), thr / 2, below(thr), thr)])
+        (_, _, c1), _, clicks, channels = self.kernels(proto, u)
+        np.testing.assert_array_equal(c1, [True, False, False, False])
+        i = "ab".index(arm)
+        for unmixed in (clicks, [a for _, a in channels]):
+            np.testing.assert_array_equal(unmixed[i], [True, True, True, False])
+            assert not unmixed[1 - i].any()
+
+    def test_heralded_single_excitation_ignores_its_port(self, proto):
+        # a D_S1-heralded lone pair is coherent: fringe mode reads only its
+        # coherent word, while the unmixed modes still read the port word
+        c = self.COLS["a"]
+        cell = {c["n"]: self.PAIRS[1], c["stokes"][0]: 0.0, c["retrieve"][0]: 0.0, c["port"][0]: 0.0}
+        u = self.rows([{**cell, st._COL_COHERENT: v} for v in (0.99, 0.0)])
+        (s1, _, c1), _, (click_a, _), _ = self.kernels(proto, u)
+        np.testing.assert_array_equal(s1, [True, True])
+        np.testing.assert_array_equal(c1, [False, True])
+        np.testing.assert_array_equal(click_a, [True, True])
+
+
 class TestSingleEnsembleTrial:
     def test_matched_pairing_immune_to_field_noise(self, measured_pair):
         # same magnetic character in both modes: the shared field cancels
