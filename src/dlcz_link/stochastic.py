@@ -8,40 +8,26 @@ are the per-trial ingredient probabilities (thermal pair statistics
 truncated at two pairs per node, retrieval/noise/background channels,
 Lorentzian field samples), so the two layers cross-check each other.
 
-Randomness is counter-based and comes in two kinds of Philox streams,
-keyed by ``(seed, stream, column)``. Each trial draws six screen words, one
-from each of six one-word-per-trial streams addressed by the trial index:
-its pair-number and noise uniforms, which decide whether it is a candidate
-(below). Candidate k of a run, counted in trial order over all chunks,
-draws the 16 other words of its row as row k of a seventh stream. A trial
-that is not a candidate draws nothing more. Results are therefore
-bit-identical for a given seed no matter how trials are chunked, scheduled
-or parallelized (``chunk_size=1`` runs one trial at a time); accumulation
-is plain integer addition and is order-independent.
+Only candidate trials draw randomness. A candidate is a trial whose row
+can add to a tally: one holding a pair in either arm (n_a >= 1 or n_b >= 1)
+or with a noise uniform below ``noise_max``, the largest noise click
+probability of any kernel. Any other trial can neither herald nor retrieve
+and clicks nowhere, so skipping it changes no tally. With a_c the live
+probability of screen word c (1 - P(n = 0) for the two pair numbers,
+``noise_max`` for the four noise words), a trial is a candidate with
+probability q = 1 - prod_c (1 - a_c), about 2 chi, independently of the
+others.
 
-Each chunk's six screen streams are filled one stream per thread, on up
-to six threads when the process may use more than one CPU and the chunk
-holds at least 2^15 trials (numpy releases the interpreter lock while it
-fills); each stream's generator is advanced to the chunk's first trial, so
-no thread touches another's column and the fill is bit-identical to an
-inline one. Everything else runs on the calling thread: the candidate
-mask, and the candidate-row fill, row kernels and bincounts over blocks of
-at most 2^16 candidates, each block's rows drawn from its first rank. The
-public functions (``trial_uniforms``, the ``simulate_link_*`` drivers) run
-on the calling thread, once per chunk and once per run.
-
-The drivers are herald-first: each chunk runs the row kernels only on its
-candidate trials, those holding a pair in either arm (n_a >= 1 or
-n_b >= 1, read from the thresholds of the pair-number draw) or with a
-noise uniform below the largest noise click probability. A trial without
-a pair can neither herald nor retrieve, so it can only click through a
-noise channel, and one whose noise uniforms all lie above every noise
-probability gives False in every kernel. Since each row depends only on
-its own uniforms, skipping those trials leaves every tally as the kernels
-give it over all rows, at about 2 chi of the per-row work. The candidate
-rows' other words come from a stream independent of the screens, one
-distinct row per candidate, so given its screen words every candidate's
-row is iid uniform, as a full row drawn per trial would be.
+Candidate k of a run reads words 24k..24k+23 of its mode's Philox stream
+(``trial_uniforms``). Word 0 is its gap G ~ Geometric(q) past the previous
+candidate, so candidates fall on the trials of iid Bernoulli(q) screens
+(geometric skipping; Devroye, *Non-Uniform Random Variate Generation*,
+1986). Word 1 picks its first live screen word J, with probability
+a_J prod_{i<J} (1 - a_i) / q. Words 2-23 are its row: screen words before
+J are mapped onto their dead region, the one at J onto its live region,
+and the rest used as drawn, so the row has the law of a full row given
+that the trial is a candidate. Records are bit-identical for a given seed
+whatever the chunk size, and the engine runs on the calling thread.
 
 Three measurement modes mirror the three detector configurations of the
 experiment, one ``simulate_link_*`` function each:
@@ -76,7 +62,6 @@ the phase jitter, in fringe runs with ``jitter_rms > 0``.
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -106,11 +91,11 @@ __all__ = [
     "default_thetas",
 ]
 
-#: Screen words per trial: one from each of six one-word-per-trial Philox
-#: streams, the columns ``trial_uniforms`` returns.
-WORDS_PER_TRIAL = 6
+#: Words per candidate: its gap, its first live screen column and its row,
+#: the columns ``trial_uniforms`` returns.
+WORDS_PER_TRIAL = 24
 
-# column map of a candidate's assembled row
+# column map of a candidate's row, words 2-23 of its block
 _COL_N_A = 0
 _COL_N_B = 1
 _COL_STOKES_A = (2, 3)
@@ -132,65 +117,91 @@ _ROW_WIDTH = 22
 _ARM_COLS_A = (_COL_N_A, _COL_STOKES_A, _COL_RETRIEVE_A, _COL_PORT_A, _COL_SE_A, _COL_BG_A)
 _ARM_COLS_B = (_COL_N_B, _COL_STOKES_B, _COL_RETRIEVE_B, _COL_PORT_B, _COL_SE_B, _COL_BG_B)
 
-# the screen columns, in the order of trial_uniforms's columns and of their
-# stream keys; a candidate's 16 other words fill _ROW_COLS in order
+# the screen columns, in the order of the first-live-column law
 _SCREEN_COLS = (_COL_N_A, _COL_N_B, _COL_SE_A, _COL_SE_B, _COL_BG_A, _COL_BG_B)
-_ROW_COLS = (*range(2, 17), _COL_JITTER)
-_ROW_KEY = 7  # key column of the candidate-row stream
+# a candidate's block: gap word, first-live-column word, then its row
+_WORD_GAP = 0
+_WORD_FIRST = 1
+_BLOCK_SCREENS = [2 + c for c in _SCREEN_COLS]
 
-# stream ids: mode m keys its seven Philox streams 8 m + column, columns 0-5 and 7
+# stream ids: mode m keys its Philox stream (m << 64) | seed
 STREAM_FRINGE = 0
 STREAM_PAIRS = 1
 STREAM_CORRELATION = 2
 
 _MASK64 = (1 << 64) - 1
 _DEFAULT_CHUNK = 1 << 18
-_MIN_POOL = 1 << 15  # trials below which a pool costs more than it saves
 _MAX_ROWS = 1 << 16  # candidates per kernel call; bounds the kernels' temporaries
 
 
-def _generator(seed: int, stream: int, column: int, blocks: int) -> np.random.Generator:
-    """Philox generator keyed by (seed, 8 stream + column), advanced by ``blocks`` 4-word blocks."""
-    key = (((8 * stream + column) & _MASK64) << 64) | (seed & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key).advance(blocks))
-
-
 def trial_uniforms(seed: int, start: int, count: int, stream: int = STREAM_FRINGE) -> np.ndarray:
-    """Screen words of trials [start, start+count), shape (count, 6), column-major.
+    """Word blocks of candidates [start, start+count) of a run, shape (count, 24).
 
-    Column c (n_a, n_b, se_a, se_b, bg_a, bg_b) is its own Philox stream,
-    one word per trial: row i is word start + i of it, so any chunking
-    reproduces the same rows bit for bit.
+    Candidate k reads words 24k..24k+23 of the Philox stream keyed
+    ``(stream << 64) | seed``, six 4-word Philox blocks, so any split of a
+    run into calls reproduces the same blocks bit for bit.
     """
     if start < 0 or count < 0:
         raise ValueError("start and count must be >= 0")
-    out = np.empty((count, WORDS_PER_TRIAL), order="F")
-
-    def fill(c: int) -> None:
-        gen = _generator(seed, stream, c, start // 4)
-        gen.random(start % 4)  # the words of earlier trials in the first block
-        gen.random(out=out[:, c])
-
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    if cpus == 1 or count < _MIN_POOL:
-        for c in range(WORDS_PER_TRIAL):
-            fill(c)
-    else:
-        # imported here: concurrent.futures costs ~10 ms to load, paid only by engine runs
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(min(cpus, WORDS_PER_TRIAL)) as pool:
-            list(pool.map(fill, range(WORDS_PER_TRIAL)))
-    return out
+    key = ((stream & _MASK64) << 64) | (seed & _MASK64)
+    # int(): Philox.advance overflows on a numpy integer
+    gen = np.random.Generator(np.random.Philox(key=key).advance(WORDS_PER_TRIAL // 4 * int(start)))
+    return gen.random((count, WORDS_PER_TRIAL))
 
 
-def _candidate_rows(screens: np.ndarray, seed: int, stream: int, rank: int) -> np.ndarray:
-    """Full rows of candidates rank, rank+1, ... of the run, given their screen words."""
-    rows = np.empty((len(screens), _ROW_WIDTH))
-    rows[:, _SCREEN_COLS] = screens
-    # 16 words, four Philox blocks, per candidate
-    rows[:, _ROW_COLS] = _generator(seed, stream, _ROW_KEY, 4 * rank).random((len(screens), len(_ROW_COLS)))
-    return rows
+@dataclass(frozen=True)
+class _ScreenLaw:
+    """Where candidates fall and what their screen words are, for one protocol.
+
+    ``q`` is the candidate probability, and ``cum`` the cumulative weights
+    a_j prod_{i<j} (1 - a_i) of the first live screen column, which sum
+    to q. Row J of ``lo``/``hi`` is the region [lo, hi) each
+    screen word is mapped onto when J is the first live column: the dead
+    region before J, the live region at J, and [0, 1) after it.
+    """
+
+    q: float
+    cum: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def trials(self, gap_words: np.ndarray, first: int, total: int) -> np.ndarray:
+        """Trial indices of consecutive candidates from trial ``first`` on, given their gap words."""
+        log_miss = math.log1p(-self.q) if self.q < 1.0 else -math.inf  # ln(1 - q)
+        # G = floor(ln(1 - u) / ln(1 - q)) ~ Geometric(q), clamped before the int64 cast;
+        # at a subnormal q the quotient overflows to inf, which the clamp takes
+        with np.errstate(over="ignore"):
+            gaps = np.minimum(np.floor(np.log1p(-gap_words) / log_miss), total).astype(np.int64)
+        return first - 1 + np.cumsum(gaps + 1)
+
+    def condition(self, block: np.ndarray) -> np.ndarray:
+        """Map each candidate's screen words onto their law given its first live column; returns its row."""
+        # u q at or above q would pick a column past the last one of positive weight
+        u = np.minimum(block[:, _WORD_FIRST] * self.q, np.nextafter(self.q, 0.0))
+        first = np.searchsorted(self.cum, u, "right")
+        for j, col in enumerate(_BLOCK_SCREENS):
+            lo, hi = self.lo[first, j], self.hi[first, j]
+            # the guard keeps a product rounded up to hi inside [lo, hi)
+            block[:, col] = np.minimum(lo + block[:, col] * (hi - lo), np.nextafter(hi, lo))
+        return block[:, 2:]
+
+
+def _screen_law(proto: _Protocol) -> _ScreenLaw:
+    """Live and dead regions of the six screen words, and the law of the first live one.
+
+    A pair-number word is live at or above P(n = 0), a noise word below
+    ``noise_max``, the largest noise click probability of any kernel.
+    """
+    a, b = proto.arm_a, proto.arm_b
+    noise_max = max(p * arm.eta for arm in (a, b) for p in (arm.se_noise, arm.z_noise))
+    p0 = [_thermal_thresholds(arm.chi)[0] for arm in (a, b)]
+    live = np.array([(p0[0], 1.0), (p0[1], 1.0)] + [(0.0, noise_max)] * 4)
+    dead = np.array([(0.0, p0[0]), (0.0, p0[1])] + [(noise_max, 1.0)] * 4)
+    width = live[:, 1] - live[:, 0]  # a_c
+    cum = np.cumsum(width * np.cumprod(np.concatenate(([1.0], 1.0 - width[:-1]))))
+    first, j = np.indices((len(_SCREEN_COLS),) * 2)  # [J, j]: screen word j when J is the first live one
+    region = np.where((j < first)[..., None], dead, np.where((j == first)[..., None], live, [0.0, 1.0]))
+    return _ScreenLaw(float(cum[-1]), cum, region[..., 0], region[..., 1])
 
 
 def _tally(
@@ -201,25 +212,29 @@ def _tally(
     chunk_size: int,
     part: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """Sum of the int64 tallies part(trial indices, rows) over the candidates of every chunk of [0, total).
+    """Sum of the int64 tallies part(trial indices, rows) over the candidates among trials [0, total).
 
-    Everything but the screen fill runs on the calling thread; part sees
-    at most ``_MAX_ROWS`` candidates per call, and runs at least once per
-    chunk, even on one without candidates.
+    part sees at most min(chunk_size, 2^16) candidates per call, and runs at
+    least once, even on a run without candidates. Each call draws about the
+    candidates expected in the trials left, plus four standard deviations.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
+    law = _screen_law(proto)
+    cap = min(chunk_size, _MAX_ROWS)
     tally = 0
-    rank = 0  # candidates in earlier chunks
-    for start in range(0, total, chunk_size):
-        u = trial_uniforms(seed, start, min(chunk_size, total - start), stream)
-        idx = np.flatnonzero(_candidates(proto, u))
-        for lo in range(0, max(len(idx), 1), _MAX_ROWS):
-            block = idx[lo : lo + _MAX_ROWS]
-            tally += part(start + block, _candidate_rows(u[block], seed, stream, rank + lo))
-        rank += len(idx)
-        del u  # free this chunk before the next one is drawn
-    return tally
+    rank, first = 0, 0  # the next candidate's rank, and the first trial it may fall on
+    while True:
+        mean = law.q * (total - first)
+        count = min(cap, math.ceil(mean + 4.0 * math.sqrt(mean)))
+        block = trial_uniforms(seed, rank, count, stream)
+        trials = law.trials(block[:, _WORD_GAP], first, total)
+        n = int(np.searchsorted(trials, total))  # candidates before the run's end
+        tally += part(trials[:n], law.condition(block[:n]))
+        del block  # free this block before the next one is drawn
+        if n < count or count == 0:
+            return tally
+        rank, first = rank + count, int(trials[-1]) + 1
 
 
 @dataclass(frozen=True)
@@ -307,25 +322,6 @@ def _thermal_counts(u: np.ndarray, chi: float) -> np.ndarray:
     """Pair number per trial: P(n) proportional to chi^n, truncated at n = 2."""
     p0, p1 = _thermal_thresholds(chi)
     return (u >= p0).astype(np.int8) + (u >= p1).astype(np.int8)
-
-
-def _candidates(proto: _Protocol, screens: np.ndarray) -> np.ndarray:
-    """Mask of the trials whose rows can add to a tally, from their screen words.
-
-    A trial with a pair in neither arm can neither herald nor retrieve: it
-    clicks only through a noise channel whose uniform lies below the
-    channel's click probability, and no kernel gives a noise channel more
-    than ``noise_max`` (fringe mode halves it). Such a trial with every
-    noise uniform at or above ``noise_max`` is False in every kernel output.
-    """
-    a, b = proto.arm_a, proto.arm_b
-    noise_max = max(p * arm.eta for arm in (a, b) for p in (arm.se_noise, arm.z_noise))
-    # screen columns: n_a, n_b, then the four noise uniforms
-    live = screens[:, 0] >= _thermal_thresholds(a.chi)[0]
-    live |= screens[:, 1] >= _thermal_thresholds(b.chi)[0]
-    for col in range(2, WORDS_PER_TRIAL):
-        live |= screens[:, col] < noise_max
-    return live
 
 
 def _stokes_ports(u: np.ndarray, n: np.ndarray, cols: tuple[int, int], eta: float):

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import pytest
 
-from dlcz_link import stochastic as st
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN = Path(__file__).parent / "golden"
@@ -83,24 +82,45 @@ raise SystemExit(cli.main(["table1", "--output", {str(out)!r}]))
 
 
 def test_closed_form_subcommands_start_no_thread(closed_form_run):
-    # the engine's thread pool, and its ~10 ms import, belong to engine runs
     assert "concurrent.futures" not in closed_form_run["modules"]
     assert closed_form_run["threads"] == 1
 
 
-def test_drivers_hold_one_uniform_chunk_at_a_time():
-    chunk = 1 << 20
-    chunk_bytes = st.WORDS_PER_TRIAL * 8 * chunk
-    code = f"""
-import resource
-from dlcz_link import stochastic as st
-from dlcz_link.config import default_config
+# one block of 2^16 candidates x 24 words x 8 B, the most words a driver draws at once
+BLOCK_BYTES = 12_582_912
 
-link = default_config().link
+
+@pytest.fixture(scope="module")
+def engine_run() -> dict:
+    """Peak memory growth, live threads and loaded modules around a pair run of 3 x 2^20 trials in a fresh interpreter.
+
+    At chi = 3% about 6% of the trials are candidates, so the run draws
+    three blocks, two of them full. A small run first keeps one-time costs
+    of the first call out of the growth.
+    """
+    code = """
+import json, resource, sys, threading
+from dlcz_link import stochastic as st
+from dlcz_link.config import config_from_dict
+
+link = config_from_dict({"link": {"chi": 0.03}}).link
+st.simulate_link_pairs(link, 0.01, trials=1000, seed=1)
+threads = threading.active_count()
 base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-st.simulate_link_pairs(link, 0.01, trials=3 * {chunk}, seed=1, chunk_size={chunk})
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)
+st.simulate_link_pairs(link, 0.01, trials=3 << 20, seed=1, chunk_size=1 << 20)
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base
+print(json.dumps({"grown": grown, "threads": [threads, threading.active_count()], "modules": sorted(sys.modules)}))
 """
+    return json.loads(run_python(code))
+
+
+def test_drivers_hold_one_uniform_chunk_at_a_time(engine_run):
     # ru_maxrss is in kB on Linux and in bytes on macOS
-    grown = int(run_python(code)) * (1 if sys.platform == "darwin" else 1024)
-    assert grown < 1.5 * chunk_bytes, f"peak grew by {grown / chunk_bytes:.2f} chunks"
+    grown = engine_run["grown"] * (1 if sys.platform == "darwin" else 1024)
+    assert grown < 1.5 * BLOCK_BYTES, f"peak grew by {grown / BLOCK_BYTES:.2f} blocks"
+
+
+def test_engine_starts_no_thread(engine_run):
+    # every stage of the engine runs on the calling thread
+    assert engine_run["threads"] == [1, 1]
+    assert "concurrent.futures" not in engine_run["modules"]

@@ -1,11 +1,10 @@
 """Property tests (hypothesis) of the Monte-Carlo engine and the CLI.
 
-Chunk invariance: every trial's screen words are addressed by its index,
-and the k-th candidate of a run takes row k of the candidate-row stream
-whatever chunk it falls in, so any chunk size in [1, total] must give the
-record of the default chunking, and so must chunks large enough for a
-pooled screen fill and for several candidate blocks, each starting at a
-rank offset, against inline fills and single blocks.
+Chunk invariance: the k-th candidate of a run reads block k of its mode's
+stream, its gap, first live screen column and row, whatever kernel call it
+falls in, so any chunk size in [1, total] must give the record of the
+default chunking, and so must runs of several full 2^16-candidate blocks,
+each drawn from a rank offset, against runs of 7001-candidate blocks.
 
 Fuzzed configs: whatever a config file holds, a closed-form subcommand
 exits 0, or exits 1 with an ``error:`` line, and never with a traceback.
@@ -67,16 +66,15 @@ def default_records(bright_link) -> tuple[st.CountsRecord, ...]:
 
 @settings(max_examples=25, deadline=None)
 @given(chunk_size=hs.integers(min_value=1, max_value=TOTAL))
+@example(chunk_size=1)
 def test_any_chunk_size_gives_the_default_record(bright_link, default_records, chunk_size):
     assert records(bright_link, chunk_size=chunk_size) == default_records
 
 
 def test_records_equal_across_slicing(bright_link):
-    # 3 * 2^17 trials per mode. 7001-row chunks fill inline and hold one
-    # candidate block each; the default 2^18-row chunks (a full and a half
-    # one) and one 2^20-row chunk fill on a pool when the process may use
-    # more than one CPU, and their candidates, about a third of the trials
-    # at these chi, run in 2^16-row blocks from rank offsets
+    # 3 * 2^17 trials per mode, about a third of them candidates at these
+    # chi: 7001-candidate calls against the 2^16-candidate calls that the
+    # default chunk size and 2^20 both cap at, each drawn from a rank offset
     trials_per_theta = (3 << 17) // THETAS.size
     sliced = [records(bright_link, trials_per_theta, **kw) for kw in ({}, {"chunk_size": 1 << 20})]
     assert sliced == [records(bright_link, trials_per_theta, chunk_size=7001)] * 2

@@ -4,13 +4,13 @@ and estimator behaviour. Statistical assertions run at pinned seeds with
 """
 
 import dataclasses
+import inspect
 import math
-import os
-import sys
 import threading
 
 import numpy as np
 import pytest
+from scipy.stats import fisher_exact
 
 from dlcz_link import (
     EnsembleParams,
@@ -31,18 +31,53 @@ def plain_link(lattice_node, clock_mode) -> LinkConfig:
     return link_at(lattice_node, clock_mode, 1e-3)  # sigma_delta = 2 mG
 
 
-def use_cpus(monkeypatch: pytest.MonkeyPatch, n: int) -> None:
-    """Show the engine an affinity mask of n CPUs, so a large chunk runs on n threads."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
-# a stream no mode uses: its screen keys are 24-29 and its row key 31
+# Philox keys no mode uses (the modes key 0-2): one for sampling tests, and
+# from DENSE_KEY on one per mode for the dense oracle
 FREE_STREAM = 3
+DENSE_KEY = 8
 
 
 def philox_words(seed: int, key_high: int, count: int) -> np.ndarray:
     """The first count doubles of the plain Philox stream keyed (key_high << 64) | seed."""
     return np.random.Generator(np.random.Philox(key=(key_high << 64) | seed)).random(count)
+
+
+def layout_oracle(proto, seed: int, total: int):
+    """Trial indices, rows and first live screen columns of a pair-mode run, transcribed word by word.
+
+    Candidate k reads words 24k..24k+23 of the pair key. Word 0 is its gap
+    G = floor(ln(1 - u) / ln(1 - q)), so it falls G + 1 trials after the
+    previous one; word 1 picks its first live screen column J; words 2-23
+    are its row, in which each screen word before J is squeezed onto its
+    dead region and the one at J onto its live region.
+    """
+    a, b = proto.arm_a, proto.arm_b
+    noise_max = max(p * arm.eta for arm in (a, b) for p in (arm.se_noise, arm.z_noise))
+    p0 = [1.0 / (1.0 + arm.chi + arm.chi * arm.chi) for arm in (a, b)]
+    # (row column, live region, dead region) of each screen word, in screen order
+    screens = [(0, (p0[0], 1.0), (0.0, p0[0])), (1, (p0[1], 1.0), (0.0, p0[1]))]
+    screens += [(col, (0.0, noise_max), (noise_max, 1.0)) for col in (17, 18, 19, 20)]
+    live = [hi - lo for _, (lo, hi), _ in screens]
+    weights = [x * math.prod(1.0 - y for y in live[:j]) for j, x in enumerate(live)]
+    q = 1.0 - math.prod(1.0 - x for x in live)
+    trials, rows, firsts = [], [], []
+    trial = -1
+    for block in philox_words(seed, st.STREAM_PAIRS, 24 * total).reshape(total, 24):
+        trial += 1 + math.floor(math.log1p(-block[0]) / math.log1p(-q))
+        if trial >= total:
+            break
+        first, acc = 0, weights[0]
+        while block[1] * q >= acc:
+            first += 1
+            acc += weights[first]
+        row = block[2:].copy()
+        for j, (col, live_region, dead_region) in enumerate(screens[: first + 1]):
+            lo, hi = live_region if j == first else dead_region
+            row[col] = lo + row[col] * (hi - lo)
+        trials.append(trial)
+        rows.append(row)
+        firsts.append(first)
+    return np.array(trials), np.array(rows), firsts
 
 
 class TestTrialStreams:
@@ -53,46 +88,51 @@ class TestTrialStreams:
                 st.trial_uniforms(99, start, count, FREE_STREAM), full[start : start + count]
             )
 
-    @pytest.mark.parametrize("cpus", [1, 3, 5, 7])
-    def test_split_fill_is_one_philox_stream(self, monkeypatch, cpus):
-        # an odd start puts each stream's first word inside a Philox block;
-        # a pool of 3, 5 or 6 threads (7 CPUs, more than the six streams),
-        # more threads than cores and a short switch interval interleave the fills
-        use_cpus(monkeypatch, cpus)
-        seed, start, count = 99, 1001, 327_687
-        assert count >= st._MIN_POOL
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            screens = st.trial_uniforms(seed, start, count, st.STREAM_PAIRS)
-        finally:
-            sys.setswitchinterval(interval)
-        assert screens.shape == (count, st.WORDS_PER_TRIAL)
-        for c in range(st.WORDS_PER_TRIAL):
-            expected = philox_words(seed, 8 * st.STREAM_PAIRS + c, start + count)[start:]
-            np.testing.assert_array_equal(screens[:, c], expected)
+    @pytest.mark.parametrize("parts", [1, 3, 5, 7])
+    def test_split_fill_is_one_philox_stream(self, parts):
+        # candidate k reads words 24k..24k+23 of its mode's key, however the
+        # run's candidates are split into calls, and whatever integer type the
+        # first rank has
+        seed, start, count = 99, 1001, 4099
+        cuts = np.linspace(start, start + count, parts + 1).astype(np.int64)
+        blocks = np.vstack([st.trial_uniforms(seed, lo, hi - lo, st.STREAM_PAIRS) for lo, hi in zip(cuts, cuts[1:])])
+        assert blocks.shape == (count, st.WORDS_PER_TRIAL)
+        words = philox_words(seed, st.STREAM_PAIRS, 24 * (start + count))[24 * start :]
+        np.testing.assert_array_equal(blocks, words.reshape(count, 24))
 
     def test_candidate_rows_known_answer(self):
-        # candidates 13..17 of a pair-mode run: words 16k..16k+15 of the row
-        # stream fill columns 2-16 and 21, the screens columns 0, 1 and 17-20
-        seed, rank = 99, 13
-        screens = st.trial_uniforms(seed, 40, 5, st.STREAM_PAIRS)
-        rows = st._candidate_rows(screens, seed, st.STREAM_PAIRS, rank)
-        words = philox_words(seed, 8 * st.STREAM_PAIRS + 7, 16 * (rank + 5))[16 * rank :].reshape(5, 16)
-        np.testing.assert_array_equal(rows[:, [0, 1, 17, 18, 19, 20]], screens)
-        np.testing.assert_array_equal(rows[:, 2:17], words[:, :15])
-        np.testing.assert_array_equal(rows[:, 21], words[:, 15])
+        # every trial index and row the kernels see, against a scalar
+        # transcription of the layout from the raw words of the pair key;
+        # loud noise and unequal chi make every screen column the first live one
+        def node(chi):
+            return EnsembleParams(chi=chi, gamma_0=0.76, decay=ExponentialEfficiency(0.41), xi_se=0.26,
+                                  z_noise=0.4, eta=0.5)
+
+        mode = SpinWaveMode(mu_prime=5000.0)
+        proto = st._protocol(LinkConfig(node_l=node(0.05), node_r=node(0.09), mode_l=mode, mode_r=mode,
+                                        noise=NoiseField(sigma_b=1e-3)), 2e-3)
+        seed, total = 99, 1000
+        seen = []
+
+        def part(trials, rows):
+            seen.append((trials.copy(), rows.copy()))
+            return np.zeros(1, dtype=np.int64)
+
+        st._tally(proto, seed, st.STREAM_PAIRS, total, 64, part)
+        trials = np.concatenate([t for t, _ in seen])
+        rows = np.vstack([r for _, r in seen])
+        expected_trials, expected_rows, firsts = layout_oracle(proto, seed, total)
+        assert len(seen) > 2 and set(firsts) == set(range(6))
+        np.testing.assert_array_equal(trials, expected_trials)
+        np.testing.assert_array_equal(rows, expected_rows)
 
     def test_every_mode_column_has_its_own_key(self):
-        # 3 modes x (6 screen columns + 1 row stream) = 21 keys, none shared
-        # with each other or with the free stream the tests draw from
+        # each mode draws from its own key, none shared with the keys the
+        # sampling tests and the dense oracle draw from
         seed = 99
-        firsts = [
-            st._generator(seed, m, c, 0).random()
-            for m in (st.STREAM_FRINGE, st.STREAM_PAIRS, st.STREAM_CORRELATION, FREE_STREAM)
-            for c in (*range(st.WORDS_PER_TRIAL), st._ROW_KEY)
-        ]
-        assert len(set(firsts)) == 28
+        firsts = [st.trial_uniforms(seed, 0, 1, m)[0, 0] for m in (st.STREAM_FRINGE, st.STREAM_PAIRS, st.STREAM_CORRELATION)]
+        firsts += [philox_words(seed, key, 1)[0] for key in (FREE_STREAM, DENSE_KEY, DENSE_KEY + 1, DENSE_KEY + 2)]
+        assert len(set(firsts)) == 7
 
     def test_streams_are_distinct(self):
         a = st.trial_uniforms(99, 0, 4, stream=st.STREAM_FRINGE)
@@ -116,7 +156,7 @@ class TestTrialStreams:
 
 class TestLorentzianSampling:
     def test_zero_width(self):
-        u = st.trial_uniforms(1, 0, 100, FREE_STREAM)[:, 0]
+        u = philox_words(1, FREE_STREAM, 100)
         np.testing.assert_array_equal(st.lorentzian_from_uniform(0.0, u), np.zeros(100))
 
     def test_quantile_at_three_quarters(self):
@@ -126,7 +166,7 @@ class TestLorentzianSampling:
     def test_median_absolute_value(self):
         # half of all draws fall within one width of zero (Cauchy CDF)
         sigma = 3e-3
-        u = st.trial_uniforms(2024, 0, 1_000_000, FREE_STREAM)[:, 0]
+        u = philox_words(2024, FREE_STREAM, 1_000_000)
         frac = float(np.mean(np.abs(st.lorentzian_from_uniform(sigma, u)) <= sigma))
         assert frac == pytest.approx(0.5, abs=2e-3)
 
@@ -159,7 +199,7 @@ class TestLinkPhases:
         # mean cos(phase difference) at t = tau_0 is e^{-1}: the difference
         # of two node fields is Lorentzian with twice the width
         tau_0 = model.link_curves(plain_link, 0.0).tau_0
-        u = st.trial_uniforms(31, 0, 100_000, FREE_STREAM)
+        u = philox_words(31, FREE_STREAM, 200_000).reshape(-1, 2)
         db_l = st.lorentzian_from_uniform(1e-3, u[:, 0])
         db_r = st.lorentzian_from_uniform(1e-3, u[:, 1])
         vals = np.cos(2.0 * np.pi * 5000.0 * (db_l - db_r) * tau_0)
@@ -177,9 +217,8 @@ class TestLinkTrial:
         assert st.simulate_link_pairs(cfg, 0.0, trials=12_000, seed=3).pair_heralds == 0
 
     def test_single_trial_matches_batch_rows(self, plain_link):
-        # screen words are addressed by trial and candidate rows by rank
-        # over the run, so one trial per chunk is the same run as the
-        # default chunking
+        # every candidate's words are addressed by its rank over the run, so
+        # one candidate per kernel call is the same run as the default chunking
         kw = dict(trials_per_theta=4000, seed=17, thetas=np.array([0.7]))
         batch = st.simulate_link_fringe(plain_link, 5e-3, **kw)
         assert batch.n_heralds > 0
@@ -238,67 +277,139 @@ class TestLinkTrial:
         ],
         ids=["fringe", "pairs"],
     )
-    def test_unequal_eta_raises_on_the_caller(self, lattice_node, clock_mode, monkeypatch, run):
-        # a pooled chunk: the error comes from the kernel on the calling
-        # thread, and the fill's pool leaves no thread behind
-        use_cpus(monkeypatch, 4)
-        other = dataclasses.replace(lattice_node, eta=0.2)
-        cfg = LinkConfig(node_l=lattice_node, node_r=other, noise=NoiseField(sigma_b=1e-3),
-                         mode_l=clock_mode, mode_r=clock_mode)
-        threads = threading.active_count()
-        with pytest.raises(ValueError, match="per-arm detection efficiencies must be equal"):
-            run(cfg, 4 * st._MIN_POOL)
-        assert threading.active_count() == threads
+    def test_unequal_eta_raises_on_the_caller(self, lattice_node, clock_mode, run):
+        # the kernels run at least once, even on a run without candidates
+        # (chi = 0 and no noise, so q = 0): the error comes on either link,
+        # from the calling thread, and the run leaves no thread behind
+        quiet = EnsembleParams(chi=0.0, gamma_0=0.76, decay=lattice_node.decay, eta=0.4)
+        for node in (lattice_node, quiet):
+            cfg = LinkConfig(node_l=node, node_r=dataclasses.replace(node, eta=0.2),
+                             noise=NoiseField(sigma_b=1e-3), mode_l=clock_mode, mode_r=clock_mode)
+            threads = threading.active_count()
+            with pytest.raises(ValueError, match="per-arm detection efficiencies must be equal"):
+                run(cfg, 1 << 17)
+            assert threading.active_count() == threads
 
     def test_mask_and_kernels_run_on_the_caller(self, plain_link, monkeypatch):
-        # 4 CPUs and a pooled chunk: only the screen fill may leave the calling thread
-        use_cpus(monkeypatch, 4)
+        # the word draw, the screen conditioning and the kernels all run on the calling thread
         idents = []
-        for name in ("_candidates", "_fringe_batch", "_pair_batch"):
-            def traced(*args, _fn=getattr(st, name), _name=name):
+        for owner, name in ((st, "trial_uniforms"), (st._ScreenLaw, "condition"), (st, "_fringe_batch"),
+                            (st, "_pair_batch")):
+            def traced(*args, _fn=getattr(owner, name), _name=name):
                 idents.append((_name, threading.get_ident()))
                 return _fn(*args)
 
-            monkeypatch.setattr(st, name, traced)
-        st.simulate_link_fringe(plain_link, 0.0, trials_per_theta=st._MIN_POOL // 4, thetas=np.zeros(8), seed=1)
-        st.simulate_link_pairs(plain_link, 0.0, trials=2 * st._MIN_POOL, seed=1)
-        assert {name for name, _ in idents} == {"_candidates", "_fringe_batch", "_pair_batch"}
+            monkeypatch.setattr(owner, name, traced)
+        st.simulate_link_fringe(plain_link, 0.0, trials_per_theta=1 << 13, thetas=np.zeros(8), seed=1)
+        st.simulate_link_pairs(plain_link, 0.0, trials=1 << 16, seed=1)
+        assert {name for name, _ in idents} == {"trial_uniforms", "condition", "_fringe_batch", "_pair_batch"}
         assert {ident for _, ident in idents} == {threading.main_thread().ident}
 
 
-def dense_rows(proto, seed: int, stream: int, count: int) -> np.ndarray:
-    """Full rows of trials [0, count), laid out here from the raw Philox streams.
+class TestCandidateLaw:
+    """Edge cases of the gap and screen-word law."""
 
-    Columns 0, 1 and 17-20 are the screen words. A trial holding a pair, or
-    with a noise word below the largest noise click probability, is a
-    candidate: candidate k takes words 16k..16k+15 of the row stream in
-    columns 2-16 and 21. Every other trial's 16 words come from a stream no
-    mode uses, which no tally may read.
-    """
-    screens = st.trial_uniforms(seed, 0, count, stream)
-    a, b = proto.arm_a, proto.arm_b
-    noise_max = max(p * arm.eta for arm in (a, b) for p in (arm.se_noise, arm.z_noise))
-    candidate = screens[:, 0] >= 1.0 / (1.0 + a.chi + a.chi * a.chi)
-    candidate |= screens[:, 1] >= 1.0 / (1.0 + b.chi + b.chi * b.chi)
-    candidate |= (screens[:, 2:] < noise_max).any(axis=1)
-    n_cand = int(candidate.sum())
-    rest = np.empty((count, 16))
-    rest[candidate] = philox_words(seed, 8 * stream + 7, 16 * n_cand).reshape(n_cand, 16)
-    rest[~candidate] = philox_words(seed, 8 * FREE_STREAM + 7, 16 * (count - n_cand)).reshape(-1, 16)
-    return np.column_stack([screens[:, :2], rest[:, :15], screens[:, 2:], rest[:, 15]])
+    @staticmethod
+    def link(chi: float, z_noise: float, eta: float) -> LinkConfig:
+        node = EnsembleParams(chi=chi, gamma_0=0.76, decay=ExponentialEfficiency(0.41), z_noise=z_noise, eta=eta)
+        return link_at(node, SpinWaveMode(mu_prime=5000.0), 1e-3)
+
+    def test_no_candidates_when_q_is_zero(self, monkeypatch):
+        # chi = 0 and no noise: no trial can click, so no word is drawn
+        drawn = []
+        original = st.trial_uniforms
+        monkeypatch.setattr(st, "trial_uniforms", lambda *a: drawn.append(a[2]) or original(*a))
+        rec = st.simulate_link_correlation(self.link(0.0, 0.0, 0.4), 0.0, trials=10**9, seed=1)
+        assert st._screen_law(st._protocol(self.link(0.0, 0.0, 0.4), 0.0)).q == 0.0
+        assert drawn == [0]
+        assert rec.correlation == (st.ChannelTallies(10**9, 0, 0, 0),) * 2
+
+    def test_every_trial_is_a_candidate_when_q_is_one(self):
+        # a background photon in every pulse, detected with certainty: every
+        # trial clicks in both channels, so none may be skipped
+        setup = self.link(0.0, 1.0, 1.0)
+        assert st._screen_law(st._protocol(setup, 0.0)).q == 1.0
+        rec = st.simulate_link_correlation(setup, 0.0, trials=70_001, seed=1, chunk_size=7001)
+        assert rec.correlation == (st.ChannelTallies(70_001, 0, 70_001, 0),) * 2
+
+    def test_gap_words(self):
+        law = st._screen_law(st._protocol(self.link(0.005, 3e-4, 0.4), 0.0))
+        # u = 0 is a gap of 0: consecutive trials from the first one free
+        np.testing.assert_array_equal(law.trials(np.zeros(3), 5, 100), [5, 6, 7])
+        # u = 1/2 is a gap of floor(ln(1/2) / ln(1 - q))
+        gap = math.floor(math.log(0.5) / math.log1p(-law.q))
+        np.testing.assert_array_equal(law.trials(np.full(2, 0.5), 0, 10**6), [gap, 2 * gap + 1])
+
+    def test_gap_past_the_run_is_clamped(self):
+        # at a subnormal q the largest word's gap overflows to inf: it is
+        # clamped to the run's end before the int64 cast, without a warning
+        setup = self.link(0.0, 1e-320, 0.4)
+        law = st._screen_law(st._protocol(setup, 0.0))
+        assert 0.0 < law.q < 1e-300
+        top = 1.0 - 2.0**-53
+        np.testing.assert_array_equal(law.trials(np.array([top, 0.0]), 3, 1000), [1003, 1004])
+        assert st.simulate_link_pairs(setup, 0.0, trials=10**6, seed=1).pair_heralds == 0
+
+    @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
+    def test_conditioned_words_stay_in_their_region(self, u):
+        # p0 + u (1 - p0) and noise_max + u (1 - noise_max) round up to 1 at
+        # u = 1 - 2^-53; each conditioned word must stay inside [lo, hi)
+        law = st._screen_law(st._protocol(self.link(0.05, 0.4, 0.5), 2e-3))
+        cum = np.concatenate(([0.0], law.cum))
+        for first in range(6):
+            block = np.full((1, st.WORDS_PER_TRIAL), u)
+            block[0, 1] = 0.5 * (cum[first] + cum[first + 1]) / law.q
+            row = law.condition(block)[0]
+            for j, col in enumerate(st._SCREEN_COLS):
+                lo, hi = law.lo[first, j], law.hi[first, j]
+                assert lo <= row[col] < hi, (first, j, row[col], lo, hi)
+                if j > first:
+                    assert row[col] == u
+
+
+class TestBenchmarkSurface:
+    """The engine names the benchmark in perfbench/ wraps, reads or calls."""
+
+    def test_trial_uniforms_returns_word_blocks(self):
+        u = st.trial_uniforms(1, 0, 3, st.STREAM_PAIRS)
+        assert u.ndim == 2 and u.dtype == np.float64 and u.shape == (3, st.WORDS_PER_TRIAL)
+
+    def test_drivers_draw_through_the_module_attribute(self, plain_link, monkeypatch):
+        rows = []
+        original = st.trial_uniforms
+        monkeypatch.setattr(st, "trial_uniforms", lambda *a: rows.append(a[2]) or original(*a))
+        for run in (
+            lambda: st.simulate_link_fringe(plain_link, 0.0, trials_per_theta=10_000, seed=1),
+            lambda: st.simulate_link_pairs(plain_link, 0.0, trials=120_000, seed=1),
+            lambda: st.simulate_link_correlation(plain_link, 0.0, trials=120_000, seed=1),
+        ):
+            rows.clear()
+            run()
+            assert sum(rows) > 0
+
+    @pytest.mark.parametrize("name", ["simulate_link_fringe", "simulate_link_pairs", "simulate_link_correlation"])
+    def test_drivers_keep_an_int_chunk_size_default(self, name):
+        default = inspect.signature(getattr(st, name)).parameters["chunk_size"].default
+        assert type(default) is int and default >= 1
+
+
+def dense_rows(seed: int, key: int, count: int) -> np.ndarray:
+    """Full rows of trials [0, count): every trial's 22 words, straight from the raw Philox stream of ``key``."""
+    return philox_words(seed, key, st._ROW_WIDTH * count).reshape(count, st._ROW_WIDTH)
 
 
 def dense_records(setup: LinkConfig, t: float, *, trials_per_theta: int, trials: int, seed: int, thetas: np.ndarray):
     """Fringe, pair and correlation records from the row kernels applied to every trial.
 
-    The dense driver, one chunk with every trial's full row through the
-    click logic, is the oracle of the engine's herald-first drivers.
+    The dense driver, one chunk with a full row per trial through the click
+    logic and no candidate screening, is the oracle of the engine's
+    candidate-only drivers. Its words come from keys no mode uses.
     """
     proto = st._protocol(setup, t)
     n_bins = thetas.size
     total = n_bins * trials_per_theta
     idx = np.arange(total) // trials_per_theta
-    s1, s2, c1 = st._fringe_batch(proto, thetas[idx], dense_rows(proto, seed, st.STREAM_FRINGE, total))
+    s1, s2, c1 = st._fringe_batch(proto, thetas[idx], dense_rows(seed, DENSE_KEY + st.STREAM_FRINGE, total))
     alt = s2 & ~s1
     her, coin, her_alt, coin_alt = (
         np.bincount(idx[flags], minlength=n_bins).tolist() for flags in (s1, s1 & c1, alt, alt & c1)
@@ -312,13 +423,13 @@ def dense_records(setup: LinkConfig, t: float, *, trials_per_theta: int, trials:
         theta_bins_alt=list(map(st.ThetaBin, th, coin_alt, her_alt)),
     )
 
-    heralded, click_a, click_b = st._pair_batch(proto, dense_rows(proto, seed, st.STREAM_PAIRS, trials))
+    heralded, click_a, click_b = st._pair_batch(proto, dense_rows(seed, DENSE_KEY + st.STREAM_PAIRS, trials))
     n00, n01, n10, n11 = np.bincount(2 * click_a[heralded] + click_b[heralded], minlength=4).tolist()
     pairs = st.CountsRecord(
         pair_trials=trials, pair_heralds=n00 + n01 + n10 + n11, pij_counts=st.PairCounts(n00, n01, n10, n11)
     )
 
-    channels = st._correlation_batch(proto, dense_rows(proto, seed, st.STREAM_CORRELATION, trials))
+    channels = st._correlation_batch(proto, dense_rows(seed, DENSE_KEY + st.STREAM_CORRELATION, trials))
     correlation = st.CountsRecord(
         correlation_trials=trials,
         correlation=tuple(
@@ -328,8 +439,36 @@ def dense_records(setup: LinkConfig, t: float, *, trials_per_theta: int, trials:
     return fringe, pairs, correlation
 
 
+def tally_cells(fringe: st.CountsRecord, pairs: st.CountsRecord, correlation: st.CountsRecord) -> dict:
+    """Every tally cell of the three records as (count, trials); each count is a sum of per-trial indicators."""
+    per_bin = fringe.n_trials // len(fringe.theta_bins)
+    cells = {"as1": (fringe.n_as1_clicks, fringe.n_trials)}
+    for i, (b, alt) in enumerate(zip(fringe.theta_bins, fringe.theta_bins_alt)):
+        for name, k in (("her", b.n_heralds), ("coin", b.n_coincidence), ("her_alt", alt.n_heralds),
+                        ("coin_alt", alt.n_coincidence)):
+            cells[f"bin{i}.{name}"] = (k, per_bin)
+    for name, k in dataclasses.asdict(pairs.pij_counts).items():
+        cells[name] = (k, pairs.pair_trials)
+    for c, channel in enumerate(correlation.correlation):
+        for name in ("n_stokes", "n_anti_stokes", "n_coincidence"):
+            cells[f"channel{c}.{name}"] = (getattr(channel, name), channel.n_pulses)
+    return cells
+
+
 class TestHeraldFirst:
-    """Running the click logic only on trials that hold a pair changes no tally."""
+    """Drawing words only for candidate trials leaves every tally's law as the dense oracle's.
+
+    Engine and oracle draw from different keys, so each of the 59 tally
+    cells (49 fringe, 4 pair, 6 correlation) of each of the 16 configs is
+    compared by the exact conditional test of two binomial counts over equal
+    trials: Fisher's, given their sum. The family-wise level of the 944
+    tests is alpha = erfc(3/sqrt(2)) = 0.0027, fixed before the test was run
+    and split by Bonferroni: every test has p >= alpha/944.
+    """
+
+    ALPHA = math.erfc(3.0 / math.sqrt(2.0))
+    TESTS = 16 * 59
+    PER_THETA, TRIALS = 4000, 30_000  # fringe trials per theta bin; pair and correlation trials
 
     @staticmethod
     def link(chi_a: float, chi_b: float, topology: Topology, jitter: float) -> LinkConfig:
@@ -352,16 +491,21 @@ class TestHeraldFirst:
     def test_records_equal_dense_oracle(self, chi_a, chi_b, topology, jitter):
         setup = self.link(chi_a, chi_b, topology, jitter)
         t, seed, thetas = 5e-3, 61, st.default_thetas(12)
-        # a chunk size that divides neither the bin width nor the total, so
-        # chunk starts fall inside theta bins
+        # at most 7001 candidates per kernel call, so calls end inside theta bins
         kw = dict(seed=seed, chunk_size=7001)
-        fringe, pairs, correlation = dense_records(
-            setup, t, trials_per_theta=4000, trials=30_000, seed=seed, thetas=thetas
+        dense = dense_records(setup, t, trials_per_theta=self.PER_THETA, trials=self.TRIALS, seed=seed, thetas=thetas)
+        assert dense[0].n_as1_clicks > 0 and dense[2].correlation[0].n_anti_stokes > 0
+        engine = (
+            st.simulate_link_fringe(setup, t, trials_per_theta=self.PER_THETA, thetas=thetas, **kw),
+            st.simulate_link_pairs(setup, t, trials=self.TRIALS, **kw),
+            st.simulate_link_correlation(setup, t, trials=self.TRIALS, **kw),
         )
-        assert fringe.n_as1_clicks > 0 and correlation.correlation[0].n_anti_stokes > 0
-        assert st.simulate_link_fringe(setup, t, trials_per_theta=4000, thetas=thetas, **kw) == fringe
-        assert st.simulate_link_pairs(setup, t, trials=30_000, **kw) == pairs
-        assert st.simulate_link_correlation(setup, t, trials=30_000, **kw) == correlation
+        cells, oracle = tally_cells(*engine), tally_cells(*dense)
+        assert len(cells) == self.TESTS // 16
+        p = {name: fisher_exact([[k, n - k], [oracle[name][0], n - oracle[name][0]]]).pvalue
+             for name, (k, n) in cells.items()}
+        worst = min(p, key=p.get)
+        assert p[worst] >= self.ALPHA / self.TESTS, (worst, cells[worst], oracle[worst], p[worst])
 
 
 def below(x: float) -> float:
@@ -595,7 +739,7 @@ class TestPhaseAverage:
         # to e^{-1} at t = 1/(2 pi mu' sigma)
         mu, sigma = 5000.0, 2e-3
         t = 1.0 / (2.0 * math.pi * mu * sigma)
-        u = st.trial_uniforms(5, 0, 1_000_000, FREE_STREAM)[:, 0]
+        u = philox_words(5, FREE_STREAM, 1_000_000)
         vals = np.cos(2.0 * np.pi * mu * st.lorentzian_from_uniform(sigma, u) * t)
         se = float(vals.std() / math.sqrt(vals.size))
         assert_within_se(float(vals.mean()), math.exp(-1.0), se)
