@@ -93,30 +93,13 @@ def cmd_mc(cfg: RunConfig):
 
     times = sweep_times(cfg.sweep)
     mc = cfg.mc
-    per_theta = max(1, mc.trials // mc.theta_points)
-    columns = [
-        "t_s",
-        "V_mc",
-        "V_se",
-        "g_mc",
-        "g_se",
-        "p00",
-        "p01",
-        "p10",
-        "p11",
-        "C_mc",
-        "C_se",
-        "V_closed",
-        "g_closed",
-        "C_closed",
-    ]
     rows = []
     for i, t in enumerate(times):
         t = float(t)
         seed = (mc.seed + i) % 2**64
         counts = stochastic.merge_counts(
             stochastic.simulate_link_fringe(
-                cfg.link, t, trials_per_theta=per_theta, seed=seed, theta_points=mc.theta_points
+                cfg.link, t, trials_per_theta=mc.trials // mc.theta_points, seed=seed, theta_points=mc.theta_points
             ),
             stochastic.merge_counts(
                 stochastic.simulate_link_pairs(cfg.link, t, trials=mc.trials, seed=seed),
@@ -126,24 +109,25 @@ def cmd_mc(cfg: RunConfig):
         stats = stochastic.estimate_statistics(counts)
         pt = model.link_curves(cfg.link, t)
         rows.append(
-            [
-                t,
-                stats.visibility.value,
-                stats.visibility.std_error,
-                stats.g,
-                stats.g_std_error,
-                stats.p00,
-                stats.p01,
-                stats.p10,
-                stats.p11,
-                stats.concurrence,
-                stats.concurrence_std_error,
-                float(pt.visibility),
-                float(pt.g),
-                float(pt.concurrence),
-            ]
+            {
+                "t_s": t,
+                "V_mc": stats.visibility.value,
+                "V_se": stats.visibility.std_error,
+                "g_mc": stats.g,
+                "g_se": stats.g_std_error,
+                "p00": stats.p00,
+                "p01": stats.p01,
+                "p10": stats.p10,
+                "p11": stats.p11,
+                "C_mc": stats.concurrence,
+                "C_se": stats.concurrence_std_error,
+                "V_closed": float(pt.visibility),
+                "g_closed": float(pt.g),
+                "C_closed": float(pt.concurrence),
+            }
         )
-    return columns, rows
+    # a sweep has at least two points, so rows[0] names the columns
+    return list(rows[0]), [list(row.values()) for row in rows]
 
 
 def cmd_table1(cfg: RunConfig):

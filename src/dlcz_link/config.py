@@ -242,6 +242,13 @@ def _sweep(name: str, d: dict[str, Any]) -> SweepSettings:
     return SweepSettings(**d)
 
 
+def _mc(d: dict[str, Any]) -> McSettings:
+    # the fringe run splits mc.trials over the theta bins, at least one trial each
+    if d["theta_points"] > d["trials"]:
+        raise ConfigError(f"mc.theta_points: expected a value <= mc.trials = {d['trials']}, got {d['theta_points']}")
+    return McSettings(**d)
+
+
 def sweep_times(sweep: SweepSettings) -> np.ndarray:
     """The storage-time grid a sweep describes."""
     if sweep.spacing == "log":
@@ -311,7 +318,7 @@ def config_from_dict(doc: dict[str, Any], flags: dict[str, Any] | None = None) -
         mode_pair=mode_pair,
         sigma_b_list=s["table1"]["sigma_b_list"],
         t_generation=s["table1"]["t_generation"],
-        mc=McSettings(**s["mc"]),
+        mc=_mc(s["mc"]),
         sweep=_sweep("sweep", s["sweep"]),
         sweep_single=_sweep("sweep_single", s["sweep_single"]),
         output=OutputSettings(**s["output"]),

@@ -61,9 +61,11 @@ the phase jitter, in fringe runs with ``jitter_rms > 0``.
 
 from __future__ import annotations
 
+import copy
 import math
+import numbers
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -279,10 +281,16 @@ class _Protocol:
     jitter_rms: float  # rad
 
 
-def _protocol(setup: LinkConfig, t: float) -> _Protocol:
-    """Two-arm protocol of a link (arms = nodes or modes of one ensemble)."""
+def _protocol(setup: LinkConfig, t: float, *, shared_detectors: bool = False) -> _Protocol:
+    """Two-arm protocol of a link (arms = nodes or modes of one ensemble).
+
+    ``shared_detectors`` marks a mode whose arms share detectors (fringe
+    and pair-count modes); their per-arm detection efficiencies must agree.
+    """
     if t < 0.0:
         raise ValueError("storage time t must be >= 0")
+    if shared_detectors and setup.node_l.eta != setup.node_r.eta:
+        raise ValueError("this mode shares detectors between arms; per-arm detection efficiencies must be equal")
     return _Protocol(
         arm_a=_arm(setup.node_l, setup.mode_l, t),
         arm_b=_arm(setup.node_r, setup.mode_r, t),
@@ -365,12 +373,7 @@ def _anti_stokes(arm: _ArmPhysics, n: np.ndarray, u: np.ndarray, cols: tuple, po
 def _fringe_batch(proto: _Protocol, theta: np.ndarray, u: np.ndarray):
     """Interference-mode trials; returns the Stokes port flags and D_aS1 clicks."""
     a, b = proto.arm_a, proto.arm_b
-    if a.eta != b.eta:
-        raise ValueError(
-            "fringe mode shares detectors between arms; per-arm detection "
-            "efficiencies must be equal"
-        )
-    eta = a.eta
+    eta = a.eta  # equal in both arms, checked once per run by _protocol
     n_a = _thermal_counts(u[:, _COL_N_A], a.chi)
     n_b = _thermal_counts(u[:, _COL_N_B], b.chi)
     s1, s2 = _stokes_ports(u, n_a, _COL_STOKES_A, eta)
@@ -419,12 +422,6 @@ def _unmixed(proto: _Protocol, u: np.ndarray):
 
 def _pair_batch(proto: _Protocol, u: np.ndarray):
     """Pair-count mode: mixed Stokes herald, per-channel anti-Stokes clicks."""
-    a, b = proto.arm_a, proto.arm_b
-    if a.eta != b.eta:
-        raise ValueError(
-            "heralding shares the Stokes detectors between arms; per-arm "
-            "detection efficiencies must be equal"
-        )
     (s1_a, _, click_a), (s1_b, _, click_b) = _unmixed(proto, u)
     return s1_a | s1_b, click_a, click_b
 
@@ -481,6 +478,11 @@ class CountsRecord:
     conditional two-channel tallies over ``pair_trials`` trials with
     ``pair_heralds`` heralds, and ``correlation`` the per-channel tallies
     of the unmixed run.
+
+    Records merge (:func:`merge_counts`) field by field: ints add, ``None``
+    or an empty bin list is an absent family and counts as empty, lists and
+    tuples add element by element, and a bin keeps its ``theta``; grids
+    whose thetas or bin counts differ cannot be merged.
     """
 
     n_trials: int = 0
@@ -508,50 +510,24 @@ class CountsRecord:
 
 
 def merge_counts(a: CountsRecord, b: CountsRecord) -> CountsRecord:
-    """Combine two records of the same layout (commutative integer adds)."""
+    """Combine two records field by field, by CountsRecord's merge rule."""
+    return _add(a, b)
 
-    def _merge_bins(x: list[ThetaBin], y: list[ThetaBin]) -> list[ThetaBin]:
-        if not x:
-            return list(y)
-        if not y:
-            return list(x)
-        if len(x) != len(y) or any(p.theta != q.theta for p, q in zip(x, y)):
-            raise ValueError("theta grids differ; records cannot be merged")
-        return [
-            ThetaBin(p.theta, p.n_coincidence + q.n_coincidence, p.n_heralds + q.n_heralds)
-            for p, q in zip(x, y)
-        ]
 
-    pij = None
-    if a.pij_counts or b.pij_counts:
-        pa = a.pij_counts or PairCounts(0, 0, 0, 0)
-        pb = b.pij_counts or PairCounts(0, 0, 0, 0)
-        pij = PairCounts(pa.n00 + pb.n00, pa.n01 + pb.n01, pa.n10 + pb.n10, pa.n11 + pb.n11)
-    corr = None
-    if a.correlation or b.correlation:
-        ca = a.correlation or (ChannelTallies(0, 0, 0, 0), ChannelTallies(0, 0, 0, 0))
-        cb = b.correlation or (ChannelTallies(0, 0, 0, 0), ChannelTallies(0, 0, 0, 0))
-        corr = tuple(
-            ChannelTallies(
-                x.n_pulses + y.n_pulses,
-                x.n_stokes + y.n_stokes,
-                x.n_anti_stokes + y.n_anti_stokes,
-                x.n_coincidence + y.n_coincidence,
-            )
-            for x, y in zip(ca, cb)
-        )
-    return CountsRecord(
-        n_trials=a.n_trials + b.n_trials,
-        n_heralds=a.n_heralds + b.n_heralds,
-        n_as1_clicks=a.n_as1_clicks + b.n_as1_clicks,
-        theta_bins=_merge_bins(a.theta_bins, b.theta_bins),
-        theta_bins_alt=_merge_bins(a.theta_bins_alt, b.theta_bins_alt),
-        pair_trials=a.pair_trials + b.pair_trials,
-        pair_heralds=a.pair_heralds + b.pair_heralds,
-        pij_counts=pij,
-        correlation_trials=a.correlation_trials + b.correlation_trials,
-        correlation=corr,
-    )
+def _add(x, y):
+    if x is None or isinstance(x, list) and not x:  # an absent family counts as empty
+        return copy.copy(y)
+    if y is None or isinstance(y, list) and not y:
+        return copy.copy(x)
+    if isinstance(x, numbers.Integral):
+        return x + y
+    if isinstance(x, float) and x != y or isinstance(x, (list, tuple)) and len(x) != len(y):
+        raise ValueError("theta grids differ; records cannot be merged")
+    if isinstance(x, float):  # a bin's theta labels its grid: kept, not added
+        return x
+    if isinstance(x, (list, tuple)):
+        return type(x)(map(_add, x, y))
+    return type(x)(**{f.name: _add(getattr(x, f.name), getattr(y, f.name)) for f in fields(x)})
 
 
 def default_thetas(n: int = 12) -> np.ndarray:
@@ -571,17 +547,18 @@ def simulate_link_fringe(
     *,
     trials_per_theta: int,
     seed: int,
-    thetas: np.ndarray | None = None,
     theta_points: int = 12,
     chunk_size: int = _DEFAULT_CHUNK,
 ) -> CountsRecord:
-    """Fringe-mode run of a two-arm setup over a theta grid."""
+    """Fringe-mode run of a two-arm setup over the grid ``default_thetas(theta_points)``.
+
+    Trials [i trials_per_theta, (i + 1) trials_per_theta) scan bin i.
+    """
     if trials_per_theta < 1:
         raise ValueError("trials_per_theta must be >= 1")
-    proto = _protocol(setup, t)
-    thetas = default_thetas(theta_points) if thetas is None else np.asarray(thetas, dtype=float)
-    n_bins = thetas.size
-    total = n_bins * trials_per_theta
+    proto = _protocol(setup, t, shared_detectors=True)
+    thetas = default_thetas(theta_points)
+    total = theta_points * trials_per_theta
 
     def part(trials: np.ndarray, u: np.ndarray) -> np.ndarray:
         idx = trials // trials_per_theta
@@ -589,7 +566,7 @@ def simulate_link_fringe(
         # D_S2-only heralds give the phase-flipped fringe; kept disjoint from
         # the primary D_S1 tallies so the two estimates are independent
         alt = s2 & ~s1
-        return np.array([np.bincount(idx[f], minlength=n_bins) for f in (s1, s1 & c1, alt, alt & c1, c1)])
+        return np.array([np.bincount(idx[f], minlength=theta_points) for f in (s1, s1 & c1, alt, alt & c1, c1)])
 
     # per bin: D_S1 heralds, their coincidences, D_S2-only heralds, theirs, all D_aS1 clicks
     her, coin, her_alt, coin_alt, as1 = _tally(proto, seed, STREAM_FRINGE, total, chunk_size, part).tolist()
@@ -609,7 +586,7 @@ def simulate_link_pairs(
     """Pair-count-mode run of a two-arm setup (conditional p_ij tallies)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    proto = _protocol(setup, t)
+    proto = _protocol(setup, t, shared_detectors=True)
 
     def part(trials: np.ndarray, u: np.ndarray) -> np.ndarray:
         heralded, click_a, click_b = _pair_batch(proto, u)

@@ -72,6 +72,15 @@ class TestValidation:
         with pytest.raises(ConfigError, match="t_end"):
             config_from_dict({"sweep": {"t_start": 1.0, "t_end": 0.5}})
 
+    def test_theta_points_above_trials_rejected(self):
+        # the fringe run splits mc.trials over the theta bins, one trial each at least
+        with pytest.raises(ConfigError, match=r"^mc\.theta_points: expected a value <= mc\.trials = 5, got 12$"):
+            config_from_dict({"mc": {"trials": 5}})
+        with pytest.raises(ConfigError, match=r"^mc\.theta_points: .*mc\.trials = 12, got 13$"):
+            config_from_dict({"mc": {"trials": 100}}, {"mc": {"trials": 12, "theta_points": 13}})
+        assert config_from_dict({"mc": {"trials": 12}}).mc.theta_points == 12
+        assert config_from_dict({"mc": {"trials": 5}}, {"mc": {"trials": 8, "theta_points": 8}}).mc.trials == 8
+
     def test_log_sweep_needs_positive_start(self):
         with pytest.raises(ConfigError, match="t_start"):
             config_from_dict({"sweep": {"t_start": 0.0, "spacing": "log"}})
@@ -168,8 +177,8 @@ class TestOverrides:
             config_from_dict({}, {"mc": {"trials": 0}})
 
     def test_flag_overrides_the_file_before_any_check(self):
-        cfg = config_from_dict({"mc": {"seed": -1, "trials": 7}}, {"mc": {"seed": 3}})
-        assert (cfg.mc.seed, cfg.mc.trials) == (3, 7)
+        cfg = config_from_dict({"mc": {"seed": -1, "trials": 700}}, {"mc": {"seed": 3}})
+        assert (cfg.mc.seed, cfg.mc.trials) == (3, 700)
 
     def test_flags_are_checked_like_the_file(self):
         with pytest.raises(ConfigError, match=r"mc\.theta_points: expected an integer >= 8, got 4"):

@@ -219,7 +219,7 @@ class TestLinkTrial:
     def test_single_trial_matches_batch_rows(self, plain_link):
         # every candidate's words are addressed by its rank over the run, so
         # one candidate per kernel call is the same run as the default chunking
-        kw = dict(trials_per_theta=4000, seed=17, thetas=np.array([0.7]))
+        kw = dict(trials_per_theta=4000, seed=17, theta_points=1)
         batch = st.simulate_link_fringe(plain_link, 5e-3, **kw)
         assert batch.n_heralds > 0
         assert st.simulate_link_fringe(plain_link, 5e-3, chunk_size=1, **kw) == batch
@@ -233,9 +233,12 @@ class TestLinkTrial:
     def test_ideal_destructive_port(self, clock_mode):
         node = EnsembleParams(chi=1e-4, gamma_0=1.0, decay=ExponentialEfficiency(1.0), xi_se=0.0, z_noise=0.0, eta=1.0)
         cfg = link_at(node, clock_mode, 0.0)
-        rec = st.simulate_link_fringe(cfg, 0.0, trials_per_theta=1_000_000, seed=3, thetas=np.array([np.pi]))
-        assert rec.n_heralds > 50
-        assert rec.theta_bins[0].n_coincidence <= 2  # multi-pair residue is O(chi)
+        # bin 1 of two scans theta = pi
+        rec = st.simulate_link_fringe(cfg, 0.0, trials_per_theta=1_000_000, seed=3, theta_points=2)
+        destructive = rec.theta_bins[1]
+        assert destructive.theta == np.pi
+        assert destructive.n_heralds > 50
+        assert destructive.n_coincidence <= 2  # multi-pair residue is O(chi)
 
     def test_determinism_and_chunk_independence(self, plain_link):
         a = st.simulate_link_fringe(plain_link, 1e-2, trials_per_theta=3000, seed=5)
@@ -277,10 +280,14 @@ class TestLinkTrial:
         ],
         ids=["fringe", "pairs"],
     )
-    def test_unequal_eta_raises_on_the_caller(self, lattice_node, clock_mode, run):
-        # the kernels run at least once, even on a run without candidates
-        # (chi = 0 and no noise, so q = 0): the error comes on either link,
-        # from the calling thread, and the run leaves no thread behind
+    def test_unequal_eta_raises_on_the_caller(self, lattice_node, clock_mode, run, monkeypatch):
+        # the shared-detector rule is checked once per run, before any word
+        # is drawn: on a link with candidates and on one without (chi = 0 and
+        # no noise, so q = 0) the error comes from the calling thread, no
+        # word is drawn, and the run leaves no thread behind
+        drawn = []
+        original = st.trial_uniforms
+        monkeypatch.setattr(st, "trial_uniforms", lambda *a: drawn.append(a[2]) or original(*a))
         quiet = EnsembleParams(chi=0.0, gamma_0=0.76, decay=lattice_node.decay, eta=0.4)
         for node in (lattice_node, quiet):
             cfg = LinkConfig(node_l=node, node_r=dataclasses.replace(node, eta=0.2),
@@ -289,6 +296,19 @@ class TestLinkTrial:
             with pytest.raises(ValueError, match="per-arm detection efficiencies must be equal"):
                 run(cfg, 1 << 17)
             assert threading.active_count() == threads
+        assert drawn == []
+
+    def test_correlation_mode_runs_on_unequal_eta(self, lattice_node, clock_mode):
+        # unmixed, each arm has its own detectors: each channel clicks with its own eta
+        cfg = LinkConfig(node_l=lattice_node, node_r=dataclasses.replace(lattice_node, eta=0.2),
+                         noise=NoiseField(sigma_b=1e-3), mode_l=clock_mode, mode_r=clock_mode)
+        trials = 400_000
+        rec = st.simulate_link_correlation(cfg, 0.0, trials=trials, seed=7)
+        chi = lattice_node.chi
+        for channel, eta in zip(rec.correlation, (lattice_node.eta, 0.2)):
+            # a Stokes click: one of the arm's pairs is detected
+            p = (chi * eta + chi**2 * (1.0 - (1.0 - eta) ** 2)) / (1.0 + chi + chi**2)
+            assert_within_se(channel.n_stokes / trials, p, math.sqrt(p * (1 - p) / trials))
 
     def test_mask_and_kernels_run_on_the_caller(self, plain_link, monkeypatch):
         # the word draw, the screen conditioning and the kernels all run on the calling thread
@@ -300,7 +320,7 @@ class TestLinkTrial:
                 return _fn(*args)
 
             monkeypatch.setattr(owner, name, traced)
-        st.simulate_link_fringe(plain_link, 0.0, trials_per_theta=1 << 13, thetas=np.zeros(8), seed=1)
+        st.simulate_link_fringe(plain_link, 0.0, trials_per_theta=1 << 13, theta_points=8, seed=1)
         st.simulate_link_pairs(plain_link, 0.0, trials=1 << 16, seed=1)
         assert {name for name, _ in idents} == {"trial_uniforms", "condition", "_fringe_batch", "_pair_batch"}
         assert {ident for _, ident in idents} == {threading.main_thread().ident}
@@ -496,7 +516,7 @@ class TestHeraldFirst:
         dense = dense_records(setup, t, trials_per_theta=self.PER_THETA, trials=self.TRIALS, seed=seed, thetas=thetas)
         assert dense[0].n_as1_clicks > 0 and dense[2].correlation[0].n_anti_stokes > 0
         engine = (
-            st.simulate_link_fringe(setup, t, trials_per_theta=self.PER_THETA, thetas=thetas, **kw),
+            st.simulate_link_fringe(setup, t, trials_per_theta=self.PER_THETA, theta_points=thetas.size, **kw),
             st.simulate_link_pairs(setup, t, trials=self.TRIALS, **kw),
             st.simulate_link_correlation(setup, t, trials=self.TRIALS, **kw),
         )
