@@ -2,6 +2,7 @@
 
 The golden files in ``tests/golden/`` pin what a refactor must not change:
 the CSV of every closed-form subcommand on the default configuration, the
+closed-form outputs that read the decay law under the Gaussian law, the
 CSV and JSON of ``mc`` on a small configuration, and a sha256 digest of
 each engine record (fringe, pair and correlation mode) for the default
 link and the two single-ensemble mode pairings.
@@ -31,7 +32,11 @@ MC_CONFIG = {
     "mc": {"trials": 20_000, "seed": 2024, "theta_points": 12},
 }
 
-# output file name -> CLI arguments; "{mc}" stands for the path of MC_CONFIG
+# both sections on the Gaussian decay law; the default config is exponential
+GAUSS_CONFIG = {"link": {"decay_law": "gaussian"}, "single_ensemble": {"decay_law": "gaussian"}}
+
+# output file name -> CLI arguments; "{mc}" and "{gauss}" stand for the paths
+# of MC_CONFIG and GAUSS_CONFIG
 CLI_CASES = {
     "curve.csv": ["curve"],
     "table1.csv": ["table1"],
@@ -39,6 +44,8 @@ CLI_CASES = {
     **{f"figure_{fid}.csv": ["figure", "--figure-id", fid] for fid in FIGURE_IDS},
     "mc.csv": ["mc", "--config", "{mc}"],
     "mc.json": ["mc", "--config", "{mc}", "--format", "json"],
+    **{f"gauss_{cmd}.csv": [cmd, "--config", "{gauss}"] for cmd in ("curve", "table1", "fit")},
+    "gauss_figure_S1.csv": ["figure", "--figure-id", "S1", "--config", "{gauss}"],
 }
 
 # engine setups at chi = 3%, eta = 0.4, so that every tally is populated
@@ -55,10 +62,12 @@ MATCHED = {
 
 
 def cli_output(name: str, workdir: Path) -> bytes:
-    mc_path = workdir / "mc_config.json"
-    mc_path.write_text(json.dumps(MC_CONFIG))
+    paths = {}
+    for key, doc in (("{mc}", MC_CONFIG), ("{gauss}", GAUSS_CONFIG)):
+        paths[key] = workdir / f"{key[1:-1]}_config.json"
+        paths[key].write_text(json.dumps(doc))
     out = workdir / name
-    args = [str(mc_path) if a == "{mc}" else a for a in CLI_CASES[name]]
+    args = [str(paths.get(a, a)) for a in CLI_CASES[name]]
     assert main([*args, "--output", str(out)]) == 0
     return out.read_bytes()
 
