@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import model
-from .params import LinkConfig, NoiseField
+from .params import DECAY_LAWS, LinkConfig, NoiseField
 
 __all__ = [
     "DecaySeries",
@@ -123,14 +123,16 @@ def _rate_to_lifetime(rate: float, rate_err: float, t_span: float) -> tuple[floa
 
 
 def fit_decay(series: DecaySeries, law: str = "exponential") -> FitResult:
-    """Fit A e^{-t/tau} or A e^{-t^2/tau^2}; returns parameters A and tau.
+    """Fit A exp(-(t/tau)^p); returns parameters A and tau.
 
-    A constant series yields the exact tau = inf sentinel.
+    p is the power of the decay law named ``law``, a key of
+    :data:`~dlcz_link.params.DECAY_LAWS`. A constant series yields the
+    exact tau = inf sentinel.
     """
     if len(series) < 3:
         raise ValueError("need at least 3 points to fit a decay")
-    if law not in ("exponential", "gaussian"):
-        raise ValueError("law must be 'exponential' or 'gaussian'")
+    if law not in DECAY_LAWS:
+        raise ValueError(f"law must be one of {tuple(DECAY_LAWS)}, got {law!r}")
     t, y = series.times, series.values
     t_span = float(t[-1] - t[0])
 
@@ -141,10 +143,8 @@ def fit_decay(series: DecaySeries, law: str = "exponential") -> FitResult:
             residual_norm=0.0,
         )
 
-    if law == "exponential":
-        fun = lambda tt, a, r: a * _exp(-r * tt)  # noqa: E731
-    else:
-        fun = lambda tt, a, r: a * _exp(-((r * tt) ** 2))  # noqa: E731
+    power = DECAY_LAWS[law].power
+    fun = lambda tt, a, r: a * _exp(-((r * tt) ** power))  # noqa: E731
     a0 = float(np.max(np.abs(y)))
     starts = [(a0, r) for r in np.geomspace(0.1 / t_span, 100.0 / t_span, 7)]
     popt, pcov, resid = _multistart_fit(fun, t, y, starts)

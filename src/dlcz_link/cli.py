@@ -29,7 +29,7 @@ import numpy as np
 from . import analysis, model
 from .analysis import DecaySeries, FitError
 from .config import ConfigError, RunConfig, config_from_dict, read_config, sweep_times
-from .params import GaussianAmplitude, LinkConfig, NoiseField
+from .params import LinkConfig, NoiseField
 
 FIGURE_IDS = ("4", "5", "6", "7", "8", "S1")
 
@@ -209,20 +209,15 @@ def cmd_fit(cfg: RunConfig):
     """
     pair = cfg.mode_pair
     mfi, mfs = pair.node_l, pair.node_r
-    rng = np.random.Generator(
-        np.random.Philox(key=((_FIT_NOISE_STREAM & (2**64 - 1)) << 64) | cfg.mc.seed)
-    )
+    rng = np.random.Generator(np.random.Philox(key=(_FIT_NOISE_STREAM << 64) | cfg.mc.seed))
     tau_d = mfi.decay.tau_d
-    # gamma_0 |D(t)|^2 is e^{-t/tau_d} or, for a Gaussian amplitude, e^{-t^2/tau_d^2}
-    law = "gaussian" if isinstance(mfi.decay, GaussianAmplitude) else "exponential"
     rows = []
 
     t_dec = np.linspace(0.05, 3.0, 25) * tau_d
     gamma_true = model.retrieval_efficiency(mfi.gamma_0, mfi.decay, t_dec)
     noisy = gamma_true * (1.0 + 0.02 * rng.standard_normal(t_dec.size))
-    res = analysis.fit_decay(DecaySeries(t_dec, noisy), law=law)
-    for name, true in (("decay_amplitude", mfi.gamma_0), ("decay_tau", tau_d)):
-        key = "amplitude" if name == "decay_amplitude" else "tau"
+    res = analysis.fit_decay(DecaySeries(t_dec, noisy), law=mfi.decay.law)
+    for name, key, true in (("decay_amplitude", "amplitude", mfi.gamma_0), ("decay_tau", "tau", tau_d)):
         fitted = res.parameters[key]
         rows.append([name, true, fitted, res.std_errors[key], _rel_error(fitted, true)])
 
@@ -301,5 +296,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         write_output(columns, rows, cfg)
     except (FitError, ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. a sweep grid too large to allocate; numpy names its size
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -28,9 +28,8 @@ import numpy as np
 
 from .params import (
     BOHR_MAGNETON_HZ_PER_G,
+    DECAY_LAWS,
     EnsembleParams,
-    ExponentialEfficiency,
-    GaussianAmplitude,
     LinkConfig,
     NoiseField,
     SpinWaveMode,
@@ -121,8 +120,7 @@ _PROBABILITY = _number(0.0, 1.0)
 _CONTRAST = _number(None, 1.0, above=0.0)  # a contrast multiplier in (0, 1]
 _NONNEGATIVE = _number(0.0)
 _POSITIVE = _number(above=0.0)
-_DECAY_LAWS = {"exponential": ExponentialEfficiency, "gaussian": GaussianAmplitude}
-_DECAY_LAW = _choice(*_DECAY_LAWS)
+_DECAY_LAW = _choice(*DECAY_LAWS)
 _SPACING = _choice("linear", "log")
 
 #: section -> key -> (default, check): every key the configuration accepts.
@@ -249,6 +247,18 @@ def _mc(d: dict[str, Any]) -> McSettings:
     return McSettings(**d)
 
 
+def _node(section: dict[str, Any], gamma_0: float, z_noise: float) -> EnsembleParams:
+    """One arm's write/read parameters; the rest come from the section's shared keys."""
+    return EnsembleParams(
+        chi=section["chi"],
+        gamma_0=gamma_0,
+        decay=DECAY_LAWS[section["decay_law"]](tau_d=section["tau_d"]),
+        xi_se=section["xi_se"],
+        z_noise=z_noise,
+        eta=section["eta"],
+    )
+
+
 def sweep_times(sweep: SweepSettings) -> np.ndarray:
     """The storage-time grid a sweep describes."""
     if sweep.spacing == "log":
@@ -271,40 +281,18 @@ def config_from_dict(doc: dict[str, Any], flags: dict[str, Any] | None = None) -
             raise ConfigError(f"{sorted(unknown)[0]}: unknown key")
     s = {name: _section(name, *(d.get(name) for d in docs)) for name in _SCHEMA}
 
-    link = s["link"]
-    node = EnsembleParams(
-        chi=link["chi"],
-        gamma_0=link["gamma_0"],
-        decay=_DECAY_LAWS[link["decay_law"]](tau_d=link["tau_d"]),
-        xi_se=link["xi_se"],
-        z_noise=link["z_noise"],
-        eta=link["eta"],
-    )
+    link, single = s["link"], s["single_ensemble"]
     two_node = LinkConfig.symmetric(
-        node=node,
+        node=_node(link, link["gamma_0"], link["z_noise"]),
         noise=NoiseField(sigma_b=link["sigma_b"], topology=Topology(link["topology"])),
         mode=SpinWaveMode(mu_prime=link["mu_prime"]),
         zeta=link["zeta"],
         xi_prime=link["xi_prime"],
         residual_phase_jitter=link["residual_phase_jitter"],
     )
-
-    single = s["single_ensemble"]
-    single_decay = _DECAY_LAWS[single["decay_law"]](tau_d=single["tau_d"])
-
-    def mode_node(gamma_0: float, z_noise: float) -> EnsembleParams:
-        return EnsembleParams(
-            chi=single["chi"],
-            gamma_0=gamma_0,
-            decay=single_decay,
-            xi_se=single["xi_se"],
-            z_noise=z_noise,
-            eta=single["eta"],
-        )
-
     mode_pair = LinkConfig(
-        node_l=mode_node(single["gamma_0_mfi"], single["z_mfi"]),
-        node_r=mode_node(single["gamma_0_mfs"], single["z_mfs"]),
+        node_l=_node(single, single["gamma_0_mfi"], single["z_mfi"]),
+        node_r=_node(single, single["gamma_0_mfs"], single["z_mfs"]),
         mode_l=SpinWaveMode.mfi(single["mu_prime_mfi"]),
         mode_r=SpinWaveMode.mfs(single["mu_prime_mfs"]),
         # both modes live in one cloud and see one field sample

@@ -27,8 +27,6 @@ import numpy as np
 from .params import (
     DecayModel,
     EnsembleParams,
-    ExponentialEfficiency,
-    GaussianAmplitude,
     LinkConfig,
     MotionBroadeningParams,
     Topology,
@@ -69,14 +67,13 @@ def motion_lifetimes(p: MotionBroadeningParams) -> tuple[float, float, float]:
 
 
 def amplitude_factor(decay: DecayModel, t: ArrayLike) -> ArrayLike:
-    """Spin-wave amplitude factor D(t), in (0, 1], for either decay law."""
+    """Spin-wave amplitude factor D(t) = exp(-t^p / 2 tau_d^p), in (0, 1], with p = decay.power."""
     _check_time(t)
     t = np.asarray(t, dtype=float) if isinstance(t, np.ndarray) else float(t)
-    if isinstance(decay, GaussianAmplitude):
-        return np.exp(-(t**2) / (2.0 * decay.tau_d**2))
-    if isinstance(decay, ExponentialEfficiency):
-        return np.exp(-t / (2.0 * decay.tau_d))
-    raise TypeError(f"unknown decay model: {decay!r}")
+    if not isinstance(decay, DecayModel):
+        raise TypeError(f"unknown decay model: {decay!r}")
+    p = decay.power
+    return np.exp(-(t**p) / (2.0 * decay.tau_d**p))
 
 
 def retrieval_efficiency(gamma_0: float, decay: DecayModel, t: ArrayLike) -> ArrayLike:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from typing import ClassVar
 
 #: Bohr magneton over Planck constant in Hz/G: the magnetic sensitivity of a
 #: |Delta m_F| = 2 ground-state alkali coherence. CODATA 2022 (Hz/T, times
@@ -76,9 +77,15 @@ class MotionBroadeningParams:
 
 
 @dataclass(frozen=True)
-class GaussianAmplitude:
-    """Amplitude factor D(t) = exp(-t^2 / 2 tau_d^2)."""
+class _DecayLaw:
+    """Spin-wave decay with lifetime tau_d: efficiency |D(t)|^2 = exp(-(t/tau_d)^power).
 
+    Each law carries its configuration name ``law`` and its exponent
+    ``power``; the amplitude factor is D(t) = exp(-t^power / 2 tau_d^power).
+    """
+
+    law: ClassVar[str]
+    power: ClassVar[int]
     tau_d: float  # s
 
     def __post_init__(self) -> None:
@@ -87,7 +94,15 @@ class GaussianAmplitude:
 
 
 @dataclass(frozen=True)
-class ExponentialEfficiency:
+class GaussianAmplitude(_DecayLaw):
+    """Amplitude factor D(t) = exp(-t^2 / 2 tau_d^2), i.e. |D(t)|^2 = exp(-(t/tau_d)^2)."""
+
+    law = "gaussian"
+    power = 2
+
+
+@dataclass(frozen=True)
+class ExponentialEfficiency(_DecayLaw):
     """Efficiency-law decay |D(t)|^2 = exp(-t / tau_d), i.e. D(t) = exp(-t / 2 tau_d).
 
     This is the empirical law measured for lattice-held and cold-cloud
@@ -95,16 +110,16 @@ class ExponentialEfficiency:
     never inferred from other parameters.
     """
 
-    tau_d: float  # s
-
-    def __post_init__(self) -> None:
-        if not self.tau_d > 0.0:
-            raise ValueError(f"tau_d: expected > 0, got {self.tau_d}")
+    law = "exponential"
+    power = 1
 
 
 #: One of the two decay laws accepted by the model operations; motion and
 #: gradient dephasing is ``GaussianAmplitude(model.motion_lifetimes(p)[2])``.
 DecayModel = GaussianAmplitude | ExponentialEfficiency
+
+#: Configuration name -> decay law, the one list of the laws.
+DECAY_LAWS: dict[str, type[DecayModel]] = {cls.law: cls for cls in (ExponentialEfficiency, GaussianAmplitude)}
 
 
 @dataclass(frozen=True)

@@ -132,7 +132,6 @@ STREAM_PAIRS = 1
 STREAM_CORRELATION = 2
 
 _MASK64 = (1 << 64) - 1
-_DEFAULT_CHUNK = 1 << 18
 _MAX_ROWS = 1 << 16  # candidates per kernel call; bounds the kernels' temporaries
 
 
@@ -548,7 +547,7 @@ def simulate_link_fringe(
     trials_per_theta: int,
     seed: int,
     theta_points: int = 12,
-    chunk_size: int = _DEFAULT_CHUNK,
+    chunk_size: int = _MAX_ROWS,
 ) -> CountsRecord:
     """Fringe-mode run of a two-arm setup over the grid ``default_thetas(theta_points)``.
 
@@ -581,7 +580,7 @@ def simulate_link_fringe(
 
 
 def simulate_link_pairs(
-    setup: LinkConfig, t: float, *, trials: int, seed: int, chunk_size: int = _DEFAULT_CHUNK
+    setup: LinkConfig, t: float, *, trials: int, seed: int, chunk_size: int = _MAX_ROWS
 ) -> CountsRecord:
     """Pair-count-mode run of a two-arm setup (conditional p_ij tallies)."""
     if trials < 1:
@@ -600,7 +599,7 @@ def simulate_link_pairs(
 
 
 def simulate_link_correlation(
-    setup: LinkConfig, t: float, *, trials: int, seed: int, chunk_size: int = _DEFAULT_CHUNK
+    setup: LinkConfig, t: float, *, trials: int, seed: int, chunk_size: int = _MAX_ROWS
 ) -> CountsRecord:
     """Correlation-mode run of a two-arm setup (per-channel g tallies)."""
     if trials < 1:

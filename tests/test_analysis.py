@@ -70,6 +70,11 @@ class TestFitDecay:
         with pytest.raises(ValueError):
             analysis.fit_decay(DecaySeries(np.array([0.0, 1.0]), np.array([1.0, 0.5])))
 
+    def test_unknown_law_names_the_valid_laws(self):
+        t = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match=r"\('exponential', 'gaussian'\), got 'weibull'$"):
+            analysis.fit_decay(DecaySeries(t, np.exp(-t)), law="weibull")
+
 
 class TestFitCrossCorrelation:
     @staticmethod

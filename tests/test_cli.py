@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from dlcz_link import cli
 from dlcz_link.cli import main
 
 SMALL_SWEEP = {
@@ -208,6 +209,20 @@ class TestErrors:
     def test_flag_is_checked_like_the_file(self, capsys):
         assert run_cli(["curve", "--theta-points", "4"]) == 1
         assert capsys.readouterr().err == "error: mc.theta_points: expected an integer >= 8, got 4\n"
+
+    def test_out_of_memory_is_exit_1(self, tmp_path, capsys, monkeypatch):
+        # a sweep of 10^13 points cannot be allocated; the failure is simulated,
+        # because a real one may get the process killed where memory is overcommitted
+        message = "Unable to allocate 72.8 TiB for an array with shape (10000000000000,) and data type float64"
+
+        def sweep_times(sweep):
+            assert sweep.n_points == 10**13
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "sweep_times", sweep_times)
+        cfg = write_config(tmp_path, {"sweep": {"n_points": 10**13}})
+        assert run_cli(["curve", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error: out of memory: {message}\n"
 
     def test_huge_jitter_gives_zero_contrast(self, tmp_path):
         cfg = write_config(tmp_path, {"link": {"residual_phase_jitter": 1e200}})

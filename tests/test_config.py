@@ -12,7 +12,7 @@ from dlcz_link.config import (
     load_config,
     sweep_times,
 )
-from dlcz_link.params import ExponentialEfficiency, Topology
+from dlcz_link.params import DECAY_LAWS, ExponentialEfficiency, Topology
 
 
 class TestDefaults:
@@ -85,9 +85,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="t_start"):
             config_from_dict({"sweep": {"t_start": 0.0, "spacing": "log"}})
 
-    def test_bad_decay_law(self):
-        with pytest.raises(ConfigError, match="decay_law"):
-            config_from_dict({"link": {"decay_law": "polynomial"}})
+    @pytest.mark.parametrize("section", ["link", "single_ensemble"])
+    def test_bad_decay_law_lists_the_laws(self, section):
+        with pytest.raises(ConfigError, match=rf"^{section}\.decay_law: expected one of \('exponential', 'gaussian'\)"):
+            config_from_dict({section: {"decay_law": "polynomial"}})
+
+    @pytest.mark.parametrize("law", list(DECAY_LAWS))
+    def test_every_decay_law_builds_its_class(self, law):
+        cfg = config_from_dict({"link": {"decay_law": law, "tau_d": 0.25}, "single_ensemble": {"decay_law": law}})
+        assert cfg.link.node_l.decay == cfg.link.node_r.decay == DECAY_LAWS[law](0.25)
+        assert cfg.mode_pair.node_l.decay == cfg.mode_pair.node_r.decay == DECAY_LAWS[law](1.0e-3)
 
     def test_bad_topology(self):
         with pytest.raises(ConfigError, match="topology"):

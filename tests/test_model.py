@@ -6,6 +6,7 @@ under test.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -114,6 +115,13 @@ class TestAmplitudeFactor:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             model.amplitude_factor(GaussianAmplitude(1e-3), -1e-6)
+
+    @pytest.mark.parametrize(
+        "decay", [0.41, "exponential", SimpleNamespace(tau_d=0.41, power=1), MotionBroadeningParams()]
+    )
+    def test_non_decay_law_rejected(self, decay):
+        with pytest.raises(TypeError, match="unknown decay model"):
+            model.amplitude_factor(decay, 1e-3)
 
 
 class TestRetrievalEfficiency:
