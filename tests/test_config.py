@@ -85,8 +85,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="t_start"):
             config_from_dict({"sweep": {"t_start": 0.0, "spacing": "log"}})
 
+    def test_bad_decay_law(self):
+        with pytest.raises(ConfigError, match="decay_law"):
+            config_from_dict({"link": {"decay_law": "polynomial"}})
+
     @pytest.mark.parametrize("section", ["link", "single_ensemble"])
-    def test_bad_decay_law_lists_the_laws(self, section):
+    def test_decay_law_choices_are_the_laws(self, section):
         with pytest.raises(ConfigError, match=rf"^{section}\.decay_law: expected one of \('exponential', 'gaussian'\)"):
             config_from_dict({section: {"decay_law": "polynomial"}})
 
