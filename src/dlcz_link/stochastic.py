@@ -29,6 +29,12 @@ and the rest used as drawn, so the row has the law of a full row given
 that the trial is a candidate. Records are bit-identical for a given seed
 whatever the chunk size, and the engine runs on the calling thread.
 
+A block of candidates is column-major: each word column is contiguous, so
+the conditioning and the kernels read whole columns at unit stride. The
+layout is in memory only; every word keeps the value it has in the stream
+order above (Philox is counter-based, so the words of a block may be laid
+out in any order).
+
 Three measurement modes mirror the three detector configurations of the
 experiment, one ``simulate_link_*`` function each:
 
@@ -133,21 +139,29 @@ STREAM_CORRELATION = 2
 
 _MASK64 = (1 << 64) - 1
 _MAX_ROWS = 1 << 16  # candidates per kernel call; bounds the kernels' temporaries
+_FILL_ROWS = 1 << 12  # candidates per Philox fill; bounds the row-major staging buffer
 
 
 def trial_uniforms(seed: int, start: int, count: int, stream: int = STREAM_FRINGE) -> np.ndarray:
-    """Word blocks of candidates [start, start+count) of a run, shape (count, 24).
+    """Word blocks of candidates [start, start+count) of a run, shape (count, 24), column-major.
 
     Candidate k reads words 24k..24k+23 of the Philox stream keyed
     ``(stream << 64) | seed``, six 4-word Philox blocks, so any split of a
-    run into calls reproduces the same blocks bit for bit.
+    run into calls reproduces the same blocks bit for bit. The block is
+    Fortran-ordered, each word column contiguous; it is filled from one
+    generator ``_FILL_ROWS`` rows at a time, so the values are those of one
+    row-major draw and the staging buffer stays small.
     """
     if start < 0 or count < 0:
         raise ValueError("start and count must be >= 0")
     key = ((stream & _MASK64) << 64) | (seed & _MASK64)
     # int(): Philox.advance overflows on a numpy integer
     gen = np.random.Generator(np.random.Philox(key=key).advance(WORDS_PER_TRIAL // 4 * int(start)))
-    return gen.random((count, WORDS_PER_TRIAL))
+    out = np.empty((count, WORDS_PER_TRIAL), order="F")
+    for lo in range(0, count, _FILL_ROWS):
+        hi = min(lo + _FILL_ROWS, count)
+        out[lo:hi] = gen.random((hi - lo, WORDS_PER_TRIAL))
+    return out
 
 
 @dataclass(frozen=True)
@@ -158,13 +172,17 @@ class _ScreenLaw:
     a_j prod_{i<j} (1 - a_i) of the first live screen column, which sum
     to q. Row J of ``lo``/``hi`` is the region [lo, hi) each
     screen word is mapped onto when J is the first live column: the dead
-    region before J, the live region at J, and [0, 1) after it.
+    region before J, the live region at J, and [0, 1) after it. ``width``
+    (hi - lo) and ``guard`` (the largest double below hi) are tabulated
+    with them, so ``condition`` gathers them per candidate.
     """
 
     q: float
     cum: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
+    width: np.ndarray
+    guard: np.ndarray
 
     def trials(self, gap_words: np.ndarray, first: int, total: int) -> np.ndarray:
         """Trial indices of consecutive candidates from trial ``first`` on, given their gap words."""
@@ -176,14 +194,20 @@ class _ScreenLaw:
         return first - 1 + np.cumsum(gaps + 1)
 
     def condition(self, block: np.ndarray) -> np.ndarray:
-        """Map each candidate's screen words onto their law given its first live column; returns its row."""
+        """Map each candidate's screen words onto their law given its first live column; returns its row.
+
+        Screen word j is rewritten only in the rows whose first live column
+        J is at least j: past J its region is [0, 1), where 0 + u 1 is u and
+        the guard 1 - 2^-53 never binds, so the drawn word is its own image.
+        """
         # u q at or above q would pick a column past the last one of positive weight
         u = np.minimum(block[:, _WORD_FIRST] * self.q, np.nextafter(self.q, 0.0))
         first = np.searchsorted(self.cum, u, "right")
         for j, col in enumerate(_BLOCK_SCREENS):
-            lo, hi = self.lo[first, j], self.hi[first, j]
+            rows = np.flatnonzero(first >= j) if j else slice(None)
+            at = first[rows], j
             # the guard keeps a product rounded up to hi inside [lo, hi)
-            block[:, col] = np.minimum(lo + block[:, col] * (hi - lo), np.nextafter(hi, lo))
+            block[rows, col] = np.minimum(self.lo[at] + block[rows, col] * self.width[at], self.guard[at])
         return block[:, 2:]
 
 
@@ -202,7 +226,8 @@ def _screen_law(proto: _Protocol) -> _ScreenLaw:
     cum = np.cumsum(width * np.cumprod(np.concatenate(([1.0], 1.0 - width[:-1]))))
     first, j = np.indices((len(_SCREEN_COLS),) * 2)  # [J, j]: screen word j when J is the first live one
     region = np.where((j < first)[..., None], dead, np.where((j == first)[..., None], live, [0.0, 1.0]))
-    return _ScreenLaw(float(cum[-1]), cum, region[..., 0], region[..., 1])
+    lo, hi = region[..., 0], region[..., 1]
+    return _ScreenLaw(float(cum[-1]), cum, lo, hi, hi - lo, np.nextafter(hi, lo))
 
 
 def _tally(

@@ -91,14 +91,18 @@ class TestTrialStreams:
     @pytest.mark.parametrize("parts", [1, 3, 5, 7])
     def test_split_fill_is_one_philox_stream(self, parts):
         # candidate k reads words 24k..24k+23 of its mode's key, however the
-        # run's candidates are split into calls, and whatever integer type the
-        # first rank has
-        seed, start, count = 99, 1001, 4099
-        cuts = np.linspace(start, start + count, parts + 1).astype(np.int64)
-        blocks = np.vstack([st.trial_uniforms(seed, lo, hi - lo, st.STREAM_PAIRS) for lo, hi in zip(cuts, cuts[1:])])
-        assert blocks.shape == (count, st.WORDS_PER_TRIAL)
-        words = philox_words(seed, st.STREAM_PAIRS, 24 * (start + count))[24 * start :]
-        np.testing.assert_array_equal(blocks, words.reshape(count, 24))
+        # run's candidates are split into calls, whatever integer type the
+        # first rank has, and wherever the calls' fill sub-blocks end; one
+        # call returns a column-major block
+        seed, start = 99, 1001
+        for count in (1, st._FILL_ROWS, st._FILL_ROWS + 3, 3 * st._FILL_ROWS + 7):
+            cuts = np.linspace(start, start + count, parts + 1).astype(np.int64)
+            calls = [st.trial_uniforms(seed, lo, hi - lo, st.STREAM_PAIRS) for lo, hi in zip(cuts, cuts[1:])]
+            blocks = np.vstack(calls)
+            assert blocks.shape == (count, st.WORDS_PER_TRIAL)
+            assert all(call.flags.f_contiguous for call in calls)
+            words = philox_words(seed, st.STREAM_PAIRS, 24 * (start + count))[24 * start :]
+            np.testing.assert_array_equal(blocks, words.reshape(count, 24))
 
     def test_candidate_rows_known_answer(self):
         # every trial index and row the kernels see, against a scalar
@@ -125,6 +129,26 @@ class TestTrialStreams:
         assert len(seen) > 2 and set(firsts) == set(range(6))
         np.testing.assert_array_equal(trials, expected_trials)
         np.testing.assert_array_equal(rows, expected_rows)
+
+    def test_kernels_read_contiguous_columns(self, plain_link, monkeypatch):
+        # every driver hands its kernels column-major rows: each of the 22
+        # row columns is one contiguous run of words
+        seen = []
+        original = st._tally
+
+        def tally(proto, seed, stream, total, chunk_size, part):
+            def checked(trials, rows):
+                seen.append((len(rows), [rows[:, c].flags.c_contiguous for c in range(rows.shape[1])]))
+                return part(trials, rows)
+
+            return original(proto, seed, stream, total, chunk_size, checked)
+
+        monkeypatch.setattr(st, "_tally", tally)
+        st.simulate_link_fringe(plain_link, 0.0, trials_per_theta=1 << 13, theta_points=8, seed=1, chunk_size=300)
+        st.simulate_link_pairs(plain_link, 0.0, trials=1 << 16, seed=1)
+        st.simulate_link_correlation(plain_link, 0.0, trials=1 << 16, seed=1)
+        assert len(seen) > 3 and min(n for n, _ in seen) > 1
+        assert all(flags == [True] * 22 for _, flags in seen)
 
     def test_every_mode_column_has_its_own_key(self):
         # each mode draws from its own key, none shared with the keys the
@@ -385,6 +409,29 @@ class TestCandidateLaw:
                 assert lo <= row[col] < hi, (first, j, row[col], lo, hi)
                 if j > first:
                     assert row[col] == u
+
+    def test_conditioning_a_mixed_block(self):
+        # one block whose rows cover every first live column J and screen
+        # words at 0, 1/2 and 1 - 2^-53, against the map written per element;
+        # screen words past J and every other word keep their drawn value
+        law = st._screen_law(st._protocol(self.link(0.05, 0.4, 0.5), 2e-3))
+        cum = np.concatenate(([0.0], law.cum))
+        values = [0.0, 0.5, 1.0 - 2.0**-53]
+        combos = np.array(np.meshgrid(*[values] * 6, indexing="ij")).reshape(6, -1).T
+        firsts = np.repeat(np.arange(6), len(combos))
+        block = philox_words(5, FREE_STREAM, len(firsts) * st.WORDS_PER_TRIAL).reshape(-1, st.WORDS_PER_TRIAL)
+        block[:, 1] = 0.5 * (cum[firsts] + cum[firsts + 1]) / law.q
+        block[:, st._BLOCK_SCREENS] = np.tile(combos, (6, 1))
+        drawn = block.copy()
+        row = law.condition(np.asfortranarray(block))
+        expected = drawn[:, 2:].copy()
+        for r, first in enumerate(firsts.tolist()):
+            for j, col in enumerate(st._SCREEN_COLS):
+                u, lo, hi = float(drawn[r, 2 + col]), float(law.lo[first, j]), float(law.hi[first, j])
+                expected[r, col] = min(lo + u * (hi - lo), math.nextafter(hi, lo))
+                if j > first:
+                    assert expected[r, col] == u
+        np.testing.assert_array_equal(row, expected)
 
 
 class TestBenchmarkSurface:
