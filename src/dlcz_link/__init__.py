@@ -1,8 +1,9 @@
 """Simulator and analysis toolkit for single-excitation entanglement over a
 two-node DLCZ memory link.
 
-One object, :class:`LinkConfig`, describes a protocol: two arms, each a
-node of a two-node link or a spin-wave mode of one ensemble. The
+One object, :class:`LinkConfig`, describes a protocol: two arms, each one
+:class:`EnsembleParams` (a node of a two-node link or a spin-wave mode of
+one ensemble, with the magnetic sensitivity mu' of its coherence). The
 inter-arm coherence dephases with tau_0 = 1/(2 pi (mu'_a + mu'_b) sigma_b)
 when the arms see independent field samples and with
 tau_0 = 1/(2 pi |mu'_a - mu'_b| sigma_b) when they share one (series-wired
@@ -29,7 +30,6 @@ from .params import (
     LinkConfig,
     MotionBroadeningParams,
     NoiseField,
-    SpinWaveMode,
     Topology,
 )
 
@@ -44,7 +44,6 @@ __all__ = [
     "LinkConfig",
     "MotionBroadeningParams",
     "NoiseField",
-    "SpinWaveMode",
     "Topology",
     "__version__",
 ]

@@ -160,19 +160,19 @@ def fit_decay(series: DecaySeries, law: str = "exponential") -> FitResult:
 
 def fit_cross_correlation(
     series: DecaySeries,
-    gamma: np.ndarray | Callable[[np.ndarray], np.ndarray],
+    gamma: np.ndarray,
     chi: float,
     z_noise: float,
 ) -> FitResult:
     """One-parameter fit of the retrieval-noise branching ratio xi_se.
 
-    ``gamma`` supplies the retrieval efficiency at each sample time (array
-    aligned with the series, or a callable). The fitted value is clamped to
-    [0, 1]; leaving the bounds sets the ``clamped`` flag instead of failing.
+    ``gamma`` is the retrieval efficiency at each sample time, an array
+    aligned with the series. The fitted value is clamped to [0, 1];
+    leaving the bounds sets the ``clamped`` flag instead of failing.
     """
     if len(series) < 2:
         raise ValueError("need at least 2 points to fit xi_se")
-    gam = np.asarray(gamma(series.times) if callable(gamma) else gamma, dtype=float)
+    gam = np.asarray(gamma, dtype=float)
     if gam.shape != series.times.shape:
         raise ValueError("gamma must provide one efficiency per sample time")
 
@@ -194,7 +194,7 @@ def fit_cross_correlation(
 
 def fit_visibility_dephasing(
     series: DecaySeries,
-    vg: np.ndarray | Callable[[np.ndarray], np.ndarray],
+    vg: np.ndarray,
     mu_prime: float,
 ) -> FitResult:
     """Fit V(t) = vg(t) xi' e^{-t/tau_0}; reports xi', tau_0 and sigma_b.
@@ -212,7 +212,7 @@ def fit_visibility_dephasing(
         )
     if len(series) < 3:
         raise ValueError("need at least 3 points to fit the dephasing")
-    vg_vals = np.asarray(vg(series.times) if callable(vg) else vg, dtype=float)
+    vg_vals = np.asarray(vg, dtype=float)
     if vg_vals.shape != series.times.shape:
         raise ValueError("vg must provide one value per sample time")
     t_span = float(series.times[-1] - series.times[0])

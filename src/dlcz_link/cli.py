@@ -147,12 +147,6 @@ def cmd_figure(cfg: RunConfig, figure_id: str):
     """Model-generated data underlying one figure (curves only)."""
     if figure_id not in FIGURE_IDS:
         raise ConfigError(f"figure: unknown id {figure_id!r}; valid ids: {', '.join(FIGURE_IDS)}")
-    pair = cfg.mode_pair
-    if figure_id in ("4", "5"):
-        times = sweep_times(cfg.sweep_single)
-    else:
-        times = np.linspace(0.0, 3.0e-3, cfg.sweep_single.n_points)
-
     if figure_id == "8":
         times = sweep_times(cfg.sweep)
         columns = ["t_s"]
@@ -168,22 +162,27 @@ def cmd_figure(cfg: RunConfig, figure_id: str):
 
     # arm a is the MFI mode, arm b the MFS mode; the matched pairing stores
     # both arms in the MFS mode and has no extra contrast loss
+    pair = cfg.mode_pair
     mfi, mfs = pair.node_l, pair.node_r
-    mixed = model.link_curves(pair, times)
-    matched = model.link_curves(LinkConfig.symmetric(mfs, pair.noise, pair.mode_r, zeta=pair.zeta), times)
+    matched = LinkConfig(mfs, mfs, pair.noise, zeta=pair.zeta)
+    if figure_id in ("4", "5"):
+        times = sweep_times(cfg.sweep_single)
+    else:
+        times = np.linspace(0.0, 3.0e-3, cfg.sweep_single.n_points)
+
     if figure_id == "4":
         columns = ["t_s", "g_mfi", "g_mfs"]
         series = [model.cross_correlation(mfi, times), model.cross_correlation(mfs, times)]
     elif figure_id == "5":
-        v_g = model.visibility(mixed.g, times, math.inf, zeta=pair.zeta)
+        mixed = model.link_curves(pair, times)
         columns = ["t_s", "v_g", "v_mixed"]
-        series = [v_g, mixed.visibility]
+        series = [model.visibility(mixed.g, times, math.inf, zeta=pair.zeta), mixed.visibility]
     elif figure_id == "6":
         columns = ["t_s", "v_matched"]
-        series = [matched.visibility]
+        series = [model.link_curves(matched, times).visibility]
     elif figure_id == "7":
         columns = ["t_s", "c_mixed", "c_matched"]
-        series = [mixed.concurrence, matched.concurrence]
+        series = [model.link_curves(pair, times).concurrence, model.link_curves(matched, times).concurrence]
     else:  # S1
         columns = ["t_s", "gamma_mfi", "gamma_mfs"]
         series = [
@@ -232,9 +231,7 @@ def cmd_fit(cfg: RunConfig):
     pt = model.link_curves(pair, t_vis)
     v_g = model.visibility(pt.g, t_vis, math.inf, zeta=pair.zeta)
     noisy_v = pt.visibility * (1.0 + 0.02 * rng.standard_normal(t_vis.size))
-    res = analysis.fit_visibility_dephasing(
-        DecaySeries(t_vis, noisy_v), v_g, abs(pair.mode_r.mu_prime - pair.mode_l.mu_prime)
-    )
+    res = analysis.fit_visibility_dephasing(DecaySeries(t_vis, noisy_v), v_g, abs(mfs.mu_prime - mfi.mu_prime))
     for name, true in (
         ("xi_prime", pair.xi_prime),
         ("tau_0", tau_0),

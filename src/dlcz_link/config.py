@@ -5,11 +5,12 @@ minimal ``{}`` yields the full default parameter set (the lattice-node
 link evaluation: gamma_0 = 0.76, tau_d = 410 ms exponential, chi = 0.5%,
 xi_se = 0.26, Z = 3e-4, zeta = 0.85, mu' = 5 Hz/mG) plus the measured
 single-ensemble parameter set for the figure outputs. Both sections build
-a two-arm :class:`~dlcz_link.params.LinkConfig`: ``link`` a symmetric
-two-node link, ``single_ensemble`` the mixed pair of modes of one cloud
-(arm a MFI, arm b MFS, one shared field sample). Every key's default and
-check are written once, in ``_SCHEMA``; the CLI's flags pass through the
-same checks as the file. Unknown keys and out-of-range values are
+a two-arm :class:`~dlcz_link.params.LinkConfig` whose arms are one
+:class:`~dlcz_link.params.EnsembleParams` each: ``link`` a two-node link
+with one node in both arms, ``single_ensemble`` the mixed pair of modes of
+one cloud (arm a MFI, arm b MFS, one shared field sample). Every key's
+default and check are written once, in ``_SCHEMA``; the CLI's flags pass
+through the same checks as the file. Unknown keys and out-of-range values are
 rejected with the offending key named.
 
 Units are the package conventions: seconds, Gauss, Hz/G.
@@ -32,7 +33,6 @@ from .params import (
     EnsembleParams,
     LinkConfig,
     NoiseField,
-    SpinWaveMode,
     Topology,
 )
 
@@ -42,7 +42,6 @@ __all__ = [
     "SweepSettings",
     "OutputSettings",
     "RunConfig",
-    "default_config",
     "config_from_dict",
     "read_config",
     "load_config",
@@ -247,8 +246,8 @@ def _mc(d: dict[str, Any]) -> McSettings:
     return McSettings(**d)
 
 
-def _node(section: dict[str, Any], gamma_0: float, z_noise: float) -> EnsembleParams:
-    """One arm's write/read parameters; the rest come from the section's shared keys."""
+def _node(section: dict[str, Any], gamma_0: float, z_noise: float, mu_prime: float) -> EnsembleParams:
+    """One arm; the parameters not given come from the section's shared keys."""
     return EnsembleParams(
         chi=section["chi"],
         gamma_0=gamma_0,
@@ -256,6 +255,7 @@ def _node(section: dict[str, Any], gamma_0: float, z_noise: float) -> EnsemblePa
         xi_se=section["xi_se"],
         z_noise=z_noise,
         eta=section["eta"],
+        mu_prime=mu_prime,
     )
 
 
@@ -282,19 +282,18 @@ def config_from_dict(doc: dict[str, Any], flags: dict[str, Any] | None = None) -
     s = {name: _section(name, *(d.get(name) for d in docs)) for name in _SCHEMA}
 
     link, single = s["link"], s["single_ensemble"]
-    two_node = LinkConfig.symmetric(
-        node=_node(link, link["gamma_0"], link["z_noise"]),
+    node = _node(link, link["gamma_0"], link["z_noise"], link["mu_prime"])
+    two_node = LinkConfig(
+        node_l=node,
+        node_r=node,
         noise=NoiseField(sigma_b=link["sigma_b"], topology=Topology(link["topology"])),
-        mode=SpinWaveMode(mu_prime=link["mu_prime"]),
         zeta=link["zeta"],
         xi_prime=link["xi_prime"],
         residual_phase_jitter=link["residual_phase_jitter"],
     )
     mode_pair = LinkConfig(
-        node_l=_node(single, single["gamma_0_mfi"], single["z_mfi"]),
-        node_r=_node(single, single["gamma_0_mfs"], single["z_mfs"]),
-        mode_l=SpinWaveMode.mfi(single["mu_prime_mfi"]),
-        mode_r=SpinWaveMode.mfs(single["mu_prime_mfs"]),
+        node_l=_node(single, single["gamma_0_mfi"], single["z_mfi"], single["mu_prime_mfi"]),
+        node_r=_node(single, single["gamma_0_mfs"], single["z_mfs"], single["mu_prime_mfs"]),
         # both modes live in one cloud and see one field sample
         noise=NoiseField(sigma_b=single["sigma_b"], topology=Topology.SHARED),
         zeta=single["zeta"],
@@ -311,10 +310,6 @@ def config_from_dict(doc: dict[str, Any], flags: dict[str, Any] | None = None) -
         sweep_single=_sweep("sweep_single", s["sweep_single"]),
         output=OutputSettings(**s["output"]),
     )
-
-
-def default_config() -> RunConfig:
-    return config_from_dict({})
 
 
 def read_config(path: str | Path) -> Any:

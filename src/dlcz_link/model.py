@@ -215,7 +215,7 @@ def link_curves(cfg: LinkConfig, t: ArrayLike) -> LinkPoint:
     g_b = cross_correlation_from_efficiency(gamma_b, node_b.chi, node_b.xi_se, node_b.z_noise)
     gamma = 0.5 * (gamma_a + gamma_b)
     g = 0.5 * (g_a + g_b)
-    mu_a, mu_b = cfg.mode_l.mu_prime, cfg.mode_r.mu_prime
+    mu_a, mu_b = node_a.mu_prime, node_b.mu_prime
     shared = cfg.noise.topology is Topology.SHARED
     tau_0 = dephasing_lifetime(abs(mu_a - mu_b) if shared else mu_a + mu_b, cfg.noise.sigma_b)
     jitter = cfg.residual_phase_jitter

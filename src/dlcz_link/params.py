@@ -1,10 +1,11 @@
 """Parameter containers for the two-arm spin-wave link simulator.
 
 One object describes a protocol: :class:`LinkConfig`, two arms that each
-store one spin wave. An arm is a memory node of a two-node link (one
-ensemble per arm) or a stored mode of a single ensemble (two modes of one
-cloud). The supply topology says which field samples the arms see:
-independent supplies dephase the inter-arm coherence with lifetime
+store one spin wave. An arm is one :class:`EnsembleParams`: a memory node
+of a two-node link (one ensemble per arm) or a stored mode of a single
+ensemble (two modes of one cloud), with the magnetic sensitivity mu' of
+the coherence it stores. The supply topology says which field samples the
+arms see: independent supplies dephase the inter-arm coherence with lifetime
 tau_0 = 1/(2 pi (mu'_a + mu'_b) sigma_b), a shared supply (and every pair
 of modes in one ensemble) with tau_0 = 1/(2 pi |mu'_a - mu'_b| sigma_b).
 
@@ -123,31 +124,6 @@ DECAY_LAWS: dict[str, type[DecayModel]] = {cls.law: cls for cls in (ExponentialE
 
 
 @dataclass(frozen=True)
-class SpinWaveMode:
-    """Magnetic character of a stored coherence.
-
-    ``mu_prime`` is the stochastic-phase sensitivity in Hz/G. The
-    deterministic Larmor beat under the bias field is folded into the
-    scanned fringe phase; only the stochastic phase dephases.
-    """
-
-    mu_prime: float  # Hz/G
-
-    def __post_init__(self) -> None:
-        _check_nonnegative("mu_prime", self.mu_prime)
-
-    @classmethod
-    def mfi(cls, mu_prime: float = 0.0) -> "SpinWaveMode":
-        """Magnetic-field-insensitive (clock) mode; exactly insensitive by default."""
-        return cls(mu_prime=mu_prime)
-
-    @classmethod
-    def mfs(cls, mu_prime: float = BOHR_MAGNETON_HZ_PER_G) -> "SpinWaveMode":
-        """Magnetic-field-sensitive mode, mu' = mu_B/h per unit field by default."""
-        return cls(mu_prime=mu_prime)
-
-
-@dataclass(frozen=True)
 class NoiseField:
     """Slow magnetic-field fluctuation (Lorentzian, shot-to-shot) at the arms."""
 
@@ -169,13 +145,17 @@ class NoiseField:
 
 @dataclass(frozen=True)
 class EnsembleParams:
-    """Write/read parameters of one arm: an ensemble, or one spin-wave mode of it.
+    """One arm: an ensemble, or one spin-wave mode of it.
 
     ``chi`` is the excitation probability per write pulse, ``gamma_0`` the
     zero-delay retrieval efficiency, ``xi_se`` the branching ratio of the
     read-photon transitions feeding the retrieval-noise channel, ``z_noise``
-    the per-pulse background probability in the anti-Stokes channel and
-    ``eta`` the detection efficiency per channel.
+    the per-pulse background probability in the anti-Stokes channel,
+    ``eta`` the detection efficiency per channel and ``mu_prime`` the
+    stochastic-phase sensitivity of the stored coherence in Hz/G (0 for a
+    clock mode, ``BOHR_MAGNETON_HZ_PER_G`` for a |Delta m_F| = 2 one). The
+    deterministic Larmor beat under the bias field is folded into the
+    scanned fringe phase; only the stochastic phase dephases.
     """
 
     chi: float
@@ -184,10 +164,12 @@ class EnsembleParams:
     xi_se: float = 0.0
     z_noise: float = 0.0
     eta: float = 1.0
+    mu_prime: float = 0.0  # Hz/G
 
     def __post_init__(self) -> None:
         for name in ("chi", "gamma_0", "xi_se", "z_noise", "eta"):
             _check_probability(name, getattr(self, name))
+        _check_nonnegative("mu_prime", self.mu_prime)
         if self.chi > 0.1:
             warnings.warn(
                 f"chi = {self.chi} is outside the chi << 1 regime the linear-order "
@@ -201,12 +183,12 @@ class EnsembleParams:
 class LinkConfig:
     """Two arms, each a node of a two-node link or a mode of one ensemble.
 
-    ``node_l``/``mode_l`` and ``node_r``/``mode_r`` are the write/read
-    parameters and the magnetic character of arm a and arm b. A pair of
-    modes in one ensemble sees one field sample, so it uses
-    ``Topology.SHARED``. The measured-visibility contrast multipliers are
-    ``zeta`` (mode overlap of the two interferometer arms) and ``xi_prime``
-    (empirical extra contrast loss, unity unless configured).
+    ``node_l`` and ``node_r`` are arm a and arm b, one
+    :class:`EnsembleParams` each; identical arms pass the same object
+    twice. A pair of modes in one ensemble sees one field sample, so it
+    uses ``Topology.SHARED``. The measured-visibility contrast multipliers
+    are ``zeta`` (mode overlap of the two interferometer arms) and
+    ``xi_prime`` (empirical extra contrast loss, unity unless configured).
     ``residual_phase_jitter`` is the RMS of the unstabilized interferometer
     phase in rad (0 = perfectly stabilized write/read interferometers).
     """
@@ -214,8 +196,6 @@ class LinkConfig:
     node_l: EnsembleParams
     node_r: EnsembleParams
     noise: NoiseField
-    mode_l: SpinWaveMode
-    mode_r: SpinWaveMode
     zeta: float = 1.0
     xi_prime: float = 1.0
     residual_phase_jitter: float = 0.0
@@ -226,25 +206,3 @@ class LinkConfig:
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"{name}: expected a value in (0, 1], got {value}")
         _check_nonnegative("residual_phase_jitter", self.residual_phase_jitter)
-
-    @classmethod
-    def symmetric(
-        cls,
-        node: EnsembleParams,
-        noise: NoiseField,
-        mode: SpinWaveMode,
-        zeta: float = 1.0,
-        xi_prime: float = 1.0,
-        residual_phase_jitter: float = 0.0,
-    ) -> "LinkConfig":
-        """Identical arms: the default two-node link, or a matched pair of modes."""
-        return cls(
-            node_l=node,
-            node_r=node,
-            noise=noise,
-            mode_l=mode,
-            mode_r=mode,
-            zeta=zeta,
-            xi_prime=xi_prime,
-            residual_phase_jitter=residual_phase_jitter,
-        )

@@ -76,7 +76,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import model
-from .params import EnsembleParams, LinkConfig, SpinWaveMode, Topology
+from .params import EnsembleParams, LinkConfig, Topology
 
 __all__ = [
     "WORDS_PER_TRIAL",
@@ -280,7 +280,7 @@ class _ArmPhysics:
         return self.chi * (1.0 - self.gamma) * self.xi_se
 
 
-def _arm(node: EnsembleParams, mode: SpinWaveMode, t: float) -> _ArmPhysics:
+def _arm(node: EnsembleParams, t: float) -> _ArmPhysics:
     gamma = float(model.retrieval_efficiency(node.gamma_0, node.decay, t))
     return _ArmPhysics(
         chi=node.chi,
@@ -288,7 +288,7 @@ def _arm(node: EnsembleParams, mode: SpinWaveMode, t: float) -> _ArmPhysics:
         xi_se=node.xi_se,
         z_noise=node.z_noise,
         eta=node.eta,
-        mu_prime=mode.mu_prime,
+        mu_prime=node.mu_prime,
     )
 
 
@@ -316,8 +316,8 @@ def _protocol(setup: LinkConfig, t: float, *, shared_detectors: bool = False) ->
     if shared_detectors and setup.node_l.eta != setup.node_r.eta:
         raise ValueError("this mode shares detectors between arms; per-arm detection efficiencies must be equal")
     return _Protocol(
-        arm_a=_arm(setup.node_l, setup.mode_l, t),
-        arm_b=_arm(setup.node_r, setup.mode_r, t),
+        arm_a=_arm(setup.node_l, t),
+        arm_b=_arm(setup.node_r, t),
         sigma_b=setup.noise.sigma_b,
         shared_field=setup.noise.topology is Topology.SHARED,
         time=t,
@@ -356,17 +356,18 @@ def _thermal_counts(u: np.ndarray, chi: float) -> np.ndarray:
     return (u >= p0).astype(np.int8) + (u >= p1).astype(np.int8)
 
 
-def _stokes_ports(u: np.ndarray, n: np.ndarray, cols: tuple[int, int], eta: float):
-    """Per-arm Stokes clicks behind the 50/50 splitter (threshold detectors)."""
-    half = 0.5 * eta
+def _stokes_side(arm: _ArmPhysics, u: np.ndarray, cols: tuple):
+    """One arm's pair number and its Stokes clicks at the two ports of the 50/50 splitter (threshold detectors)."""
+    n = _thermal_counts(u[:, cols[0]], arm.chi)
+    half = 0.5 * arm.eta
     s1 = np.zeros(n.shape, dtype=bool)
     s2 = np.zeros(n.shape, dtype=bool)
-    for k, col in enumerate(cols):
+    for k, col in enumerate(cols[1]):
         exists = n > k
         uu = u[:, col]
         s1 |= exists & (uu < half)
-        s2 |= exists & (uu >= half) & (uu < eta)
-    return s1, s2
+        s2 |= exists & (uu >= half) & (uu < arm.eta)
+    return n, s1, s2
 
 
 def _field_samples(u: np.ndarray, proto: _Protocol):
@@ -398,10 +399,8 @@ def _fringe_batch(proto: _Protocol, theta: np.ndarray, u: np.ndarray):
     """Interference-mode trials; returns the Stokes port flags and D_aS1 clicks."""
     a, b = proto.arm_a, proto.arm_b
     eta = a.eta  # equal in both arms, checked once per run by _protocol
-    n_a = _thermal_counts(u[:, _COL_N_A], a.chi)
-    n_b = _thermal_counts(u[:, _COL_N_B], b.chi)
-    s1, s2 = _stokes_ports(u, n_a, _COL_STOKES_A, eta)
-    s1_b, s2_b = _stokes_ports(u, n_b, _COL_STOKES_B, eta)
+    n_a, s1, s2 = _stokes_side(a, u, _ARM_COLS_A)
+    n_b, s1_b, s2_b = _stokes_side(b, u, _ARM_COLS_B)
     s1 |= s1_b
     s2 |= s2_b
     heralded_any = s1 | s2
@@ -439,8 +438,8 @@ def _unmixed(proto: _Protocol, u: np.ndarray):
     """Per arm, no output mixing: its two Stokes port clicks and its anti-Stokes click."""
     out = []
     for arm, cols in ((proto.arm_a, _ARM_COLS_A), (proto.arm_b, _ARM_COLS_B)):
-        n = _thermal_counts(u[:, cols[0]], arm.chi)
-        out.append((*_stokes_ports(u, n, cols[1], arm.eta), _anti_stokes(arm, n, u, cols, arm.eta)))
+        n, s1, s2 = _stokes_side(arm, u, cols)
+        out.append((s1, s2, _anti_stokes(arm, n, u, cols, arm.eta)))
     return out
 
 
@@ -616,7 +615,7 @@ def simulate_link_pairs(
         heralded, click_a, click_b = _pair_batch(proto, u)
         return np.bincount(2 * click_a[heralded] + click_b[heralded], minlength=4)
 
-    # channel a is arm a (node_l, mode_l): index i of p_ij
+    # channel a is arm a (node_l): index i of p_ij
     n00, n01, n10, n11 = _tally(proto, seed, STREAM_PAIRS, trials, chunk_size, part).tolist()
     return CountsRecord(
         pair_trials=trials, pair_heralds=n00 + n01 + n10 + n11, pij_counts=PairCounts(n00, n01, n10, n11)

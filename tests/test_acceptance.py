@@ -29,14 +29,13 @@ from dlcz_link import (
     ExponentialEfficiency,
     LinkConfig,
     NoiseField,
-    SpinWaveMode,
     Topology,
 )
 from dlcz_link import analysis, model
 from dlcz_link import stochastic as st
 from dlcz_link.analysis import DecaySeries
 from dlcz_link.cli import main
-from dlcz_link.config import default_config
+from dlcz_link.config import config_from_dict
 
 from conftest import matched_pairing
 from oracles import coincidence_probability, difference_phase_average_quadrature, lorentzian_characteristic
@@ -49,11 +48,10 @@ def report(criterion: int, ok: bool, detail: str) -> bool:
 
 def lattice_link(eta: float, sigma_b: float, zeta: float, topology=Topology.INDEPENDENT) -> LinkConfig:
     node = EnsembleParams(
-        chi=0.005, gamma_0=0.76, decay=ExponentialEfficiency(0.410), xi_se=0.26, z_noise=3e-4, eta=eta
+        chi=0.005, gamma_0=0.76, decay=ExponentialEfficiency(0.410), xi_se=0.26, z_noise=3e-4, eta=eta,
+        mu_prime=5000.0,
     )
-    return LinkConfig.symmetric(
-        node, NoiseField(sigma_b=sigma_b, topology=topology), SpinWaveMode(mu_prime=5000.0), zeta=zeta
-    )
+    return LinkConfig(node, node, NoiseField(sigma_b=sigma_b, topology=topology), zeta=zeta)
 
 
 QUOTED_LIFETIMES_MS = (14.0, 28.0, 135.0, 1700.0)
@@ -62,7 +60,7 @@ SIGMA_B_LIST = (2e-3, 1e-3, 2e-4, 0.0)
 
 
 def test_criterion_1_table1_reproduction():
-    cfg = default_config()
+    cfg = config_from_dict({})
     start = time.perf_counter()
     rows = analysis.make_table1(cfg.sigma_b_list, cfg.link, cfg.t_generation)
     elapsed = time.perf_counter() - start
@@ -283,7 +281,7 @@ def test_criterion_7_fit_recovery():
 
 
 def test_criterion_8_mode_pair_crossing_order():
-    pair = default_config().mode_pair
+    pair = config_from_dict({}).mode_pair
     mixed = analysis.entanglement_lifetime(pair, xtol=1e-7)
     matched = analysis.entanglement_lifetime(matched_pairing(pair), xtol=1e-7)
     ratio = matched / mixed
@@ -316,7 +314,7 @@ def test_criterion_9_eta_insensitivity_as_stated():
     # eta, gamma/g/V/tau_0 are eta-free, and T_s(eta) is the first zero of
     # V - 2 sqrt((1 - gamma eta)/g) to the root tolerance, nondecreasing in
     # eta. The 2% bound lives on in the small-eta companion test below.
-    cfg = default_config()
+    cfg = config_from_dict({})
     rows = analysis.make_table1(cfg.sigma_b_list, cfg.link, cfg.t_generation)
     etas = (0.1, 0.3, 0.5, 0.7, 0.9)
     xtol = 1e-4  # entanglement_lifetime's documented root tolerance, s
@@ -358,17 +356,16 @@ def test_criterion_9_eta_insensitivity_as_stated():
 def test_criterion_9_companion_small_eta_insensitivity():
     # where the small-p_c premise actually holds (eta at or below the
     # package default), the lifetimes are insensitive at the few-permille level
-    cfg = default_config()
+    cfg = config_from_dict({})
     nominal = [row.lifetime for row in analysis.make_table1(cfg.sigma_b_list, cfg.link, cfg.t_generation)]
     for i, sigma_b in enumerate(cfg.sigma_b_list):
         lifetimes = []
         for eta in (0.01, 0.05):
             node = EnsembleParams(
-                chi=0.005, gamma_0=0.76, decay=ExponentialEfficiency(0.410), xi_se=0.26, z_noise=3e-4, eta=eta
+                chi=0.005, gamma_0=0.76, decay=ExponentialEfficiency(0.410), xi_se=0.26, z_noise=3e-4, eta=eta,
+                mu_prime=5000.0,
             )
-            link = LinkConfig.symmetric(
-                node, NoiseField(sigma_b=sigma_b), SpinWaveMode(mu_prime=5000.0), zeta=0.85
-            )
+            link = LinkConfig(node, node, NoiseField(sigma_b=sigma_b), zeta=0.85)
             lifetimes.append(analysis.entanglement_lifetime(link))
         assert (max(lifetimes) - min(lifetimes)) / nominal[i] < 0.02
 

@@ -13,12 +13,11 @@ from dlcz_link import (
     ExponentialEfficiency,
     LinkConfig,
     NoiseField,
-    SpinWaveMode,
     Topology,
 )
 from dlcz_link import analysis, model
 from dlcz_link.analysis import DecaySeries, FitError
-from dlcz_link.config import default_config
+from dlcz_link.config import config_from_dict
 
 from conftest import link_at, matched_pairing
 
@@ -112,16 +111,6 @@ class TestFitCrossCorrelation:
         assert res.parameters["xi_se"] == 0.0
         assert "clamped" in res.flags
 
-    def test_callable_gamma(self):
-        series, _ = self._series(0.26)
-        res = analysis.fit_cross_correlation(
-            series,
-            lambda t: model.retrieval_efficiency(0.17, ExponentialEfficiency(1e-3), t),
-            0.005,
-            3.3e-4,
-        )
-        assert res.parameters["xi_se"] == pytest.approx(0.26, abs=1e-9)
-
 
 class TestFitVisibilityDephasing:
     MU = 1.3996e6  # Hz/G
@@ -177,17 +166,17 @@ class TestFitVisibilityDephasing:
 
 
 class TestEntanglementLifetime:
-    def test_never_entangled_is_an_error(self, lattice_node, clock_mode):
+    def test_never_entangled_is_an_error(self, lattice_node):
         noisy = EnsembleParams(
-            chi=0.005, gamma_0=0.76, decay=lattice_node.decay, xi_se=0.26, z_noise=0.5, eta=0.4
+            chi=0.005, gamma_0=0.76, decay=lattice_node.decay, xi_se=0.26, z_noise=0.5, eta=0.4, mu_prime=5000.0
         )
         with pytest.raises(ValueError, match="never entangled"):
-            analysis.entanglement_lifetime(link_at(noisy, clock_mode, 1e-3, zeta=0.85))
+            analysis.entanglement_lifetime(link_at(noisy, 1e-3, zeta=0.85))
 
-    def test_monotone_in_field_width(self, lattice_node, clock_mode):
+    def test_monotone_in_field_width(self, lattice_node):
         widths = np.linspace(0.0, 3e-3, 10)
         lifetimes = [
-            analysis.entanglement_lifetime(link_at(lattice_node, clock_mode, float(w), zeta=0.85))
+            analysis.entanglement_lifetime(link_at(lattice_node, float(w), zeta=0.85))
             for w in widths
         ]
         assert all(a >= b - 1e-4 for a, b in zip(lifetimes, lifetimes[1:]))
@@ -196,7 +185,7 @@ class TestEntanglementLifetime:
     def test_sub_millisecond_root_to_a_part_per_million(self, sigma_b):
         # an absolute 0.1 ms xtol once gave 51.4 us for both 1000 G and 10 G,
         # whose first zeros are 27.5 ns and 2.75 us
-        link = replace(default_config().link, noise=NoiseField(sigma_b=sigma_b))
+        link = replace(config_from_dict({}).link, noise=NoiseField(sigma_b=sigma_b))
         eta = link.node_l.eta
 
         def positive(t: float) -> bool:
@@ -208,8 +197,8 @@ class TestEntanglementLifetime:
             lo, hi = (mid, hi) if positive(mid) else (lo, mid)
         assert analysis.entanglement_lifetime(link) == pytest.approx(hi, rel=1e-6, abs=0.0)
 
-    def test_root_brackets_concurrence_sign(self, lattice_node, clock_mode):
-        cfg = link_at(lattice_node, clock_mode, 1e-3, zeta=0.85)
+    def test_root_brackets_concurrence_sign(self, lattice_node):
+        cfg = link_at(lattice_node, 1e-3, zeta=0.85)
         t_s = analysis.entanglement_lifetime(cfg)
         delta = 1e-3
         assert float(model.link_curves(cfg, t_s - delta).concurrence) > 0.0
@@ -217,7 +206,7 @@ class TestEntanglementLifetime:
 
     def test_default_table1_lifetimes_are_the_margin_zeros(self):
         # every default row has a finite lifetime above 1 ms, so its root is found to the default xtol
-        cfg, xtol = default_config(), 1e-4
+        cfg, xtol = config_from_dict({}), 1e-4
         for row in analysis.make_table1(cfg.sigma_b_list, cfg.link, cfg.t_generation):
             link = replace(cfg.link, noise=NoiseField(sigma_b=row.sigma_b, topology=cfg.link.noise.topology))
             t_s = row.lifetime
@@ -240,21 +229,19 @@ class TestLinkEfficiency:
 
 
 class TestTable:
-    def test_empty_list(self, lattice_node, clock_mode):
-        cfg = link_at(lattice_node, clock_mode, 2e-3, zeta=0.85)
+    def test_empty_list(self, lattice_node):
+        cfg = link_at(lattice_node, 2e-3, zeta=0.85)
         assert analysis.make_table1([], cfg, 0.63) == []
 
-    def test_shared_topology_rows_ignore_width(self, lattice_node, clock_mode):
+    def test_shared_topology_rows_ignore_width(self, lattice_node):
         node = lattice_node
-        shared = LinkConfig.symmetric(
-            node, NoiseField(sigma_b=2e-3, topology=Topology.SHARED), clock_mode, zeta=0.85
-        )
+        shared = LinkConfig(node, node, NoiseField(sigma_b=2e-3, topology=Topology.SHARED), zeta=0.85)
         rows = analysis.make_table1([2e-3], shared, 0.63)
         assert rows[0].sigma_delta == 0.0
         assert rows[0].lifetime == pytest.approx(1.675, abs=5e-3)
 
-    def test_row_structure(self, lattice_node, clock_mode):
-        cfg = link_at(lattice_node, clock_mode, 2e-3, zeta=0.85)
+    def test_row_structure(self, lattice_node):
+        cfg = link_at(lattice_node, 2e-3, zeta=0.85)
         rows = analysis.make_table1([2e-3, 0.0], cfg, 0.63)
         assert rows[0].sigma_delta == pytest.approx(4e-3)
         assert rows[1].sigma_delta == 0.0
@@ -301,7 +288,7 @@ class TestBrent:
     @staticmethod
     def lifetimes() -> list[str]:
         # every default Table-1 row, the criterion-9 eta grid, the mode-pair roots
-        cfg = default_config()
+        cfg = config_from_dict({})
         links = [replace(cfg.link, noise=NoiseField(sigma_b=s)) for s in cfg.sigma_b_list]
         roots = [analysis.entanglement_lifetime(link) for link in links]
         for link in links:

@@ -8,7 +8,6 @@ import pytest
 from dlcz_link.config import (
     ConfigError,
     config_from_dict,
-    default_config,
     load_config,
     sweep_times,
 )
@@ -26,14 +25,14 @@ class TestDefaults:
         assert node.xi_se == 0.26
         assert node.z_noise == 3.0e-4
         assert cfg.link.zeta == 0.85
-        assert cfg.link.mode_l.mu_prime == 5000.0
+        assert node.mu_prime == 5000.0
         assert cfg.link.noise.sigma_b == 2.0e-3
         assert cfg.link.noise.topology is Topology.INDEPENDENT
         assert cfg.t_generation == 0.63
         assert cfg.sigma_b_list == (2.0e-3, 1.0e-3, 2.0e-4, 0.0)
 
     def test_single_ensemble_defaults(self):
-        cfg = default_config()
+        cfg = config_from_dict({})
         pair = cfg.mode_pair  # arm a MFI, arm b MFS
         assert pair.node_l.gamma_0 == 0.22
         assert pair.node_r.gamma_0 == 0.17
@@ -42,13 +41,13 @@ class TestDefaults:
         assert pair.xi_prime == 0.88
         assert pair.noise.sigma_b == 2.25e-3
         assert pair.noise.topology is Topology.SHARED
-        assert pair.mode_l.mu_prime == 0.0
-        assert pair.mode_r.mu_prime == pytest.approx(1.39962e6, rel=1e-4)
+        assert pair.node_l.mu_prime == 0.0
+        assert pair.node_r.mu_prime == pytest.approx(1.39962e6, rel=1e-4)
 
     def test_symmetry_of_default_link(self):
-        cfg = default_config()
+        cfg = config_from_dict({})
         assert cfg.link.node_l == cfg.link.node_r
-        assert cfg.link.mode_l == cfg.link.mode_r
+        assert cfg.link.node_l.mu_prime == cfg.link.node_r.mu_prime
 
 
 class TestValidation:

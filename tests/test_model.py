@@ -20,7 +20,6 @@ from dlcz_link import (
     LinkConfig,
     MotionBroadeningParams,
     NoiseField,
-    SpinWaveMode,
     Topology,
 )
 from dlcz_link import model
@@ -236,8 +235,8 @@ class TestVisibility:
         assert float(v) == pytest.approx(0.85 * (172.3 / 174.3) * math.exp(-1.0), rel=1e-12)
         assert float(v) == pytest.approx(0.3091, abs=2e-4)
 
-    def test_nonincreasing_in_time(self, lattice_node, clock_mode):
-        cfg = link_at(lattice_node, clock_mode, 1e-3, zeta=0.85)
+    def test_nonincreasing_in_time(self, lattice_node):
+        cfg = link_at(lattice_node, 1e-3, zeta=0.85)
         t = np.geomspace(1e-4, 2.0, 80)
         v = model.link_curves(cfg, t).visibility
         assert np.all(np.diff(v) <= 1e-15)
@@ -368,27 +367,25 @@ class TestConcurrence:
 
 
 class TestLinkCurves:
-    def test_zero_delay_matches_parts(self, lattice_node, clock_mode):
-        cfg = link_at(lattice_node, clock_mode, 2e-3, zeta=0.85)
+    def test_zero_delay_matches_parts(self, lattice_node):
+        cfg = link_at(lattice_node, 2e-3, zeta=0.85)
         pt = model.link_curves(cfg, 0.0)
         assert float(pt.gamma) == 0.76
         assert float(pt.g) == pytest.approx(float(model.cross_correlation(lattice_node, 0.0)), rel=1e-12)
         assert pt.tau_0 == pytest.approx(model.dephasing_lifetime(5000.0, 4e-3), rel=1e-12)
 
-    def test_shared_supply_keeps_visibility(self, lattice_node, clock_mode):
+    def test_shared_supply_keeps_visibility(self, lattice_node):
         node = lattice_node
-        shared = LinkConfig.symmetric(
-            node, NoiseField(sigma_b=4e-3, topology=Topology.SHARED), clock_mode, zeta=0.85
-        )
+        shared = LinkConfig(node, node, NoiseField(sigma_b=4e-3, topology=Topology.SHARED), zeta=0.85)
         pt = model.link_curves(shared, np.array([0.0, 0.05, 0.2]))
         assert math.isinf(pt.tau_0)
         v_expected = 0.85 * (pt.g - 1.0) / (pt.g + 1.0)
         np.testing.assert_allclose(pt.visibility, v_expected, rtol=1e-12)
 
-    def test_phase_jitter_damps_contrast(self, lattice_node, clock_mode):
-        base = link_at(lattice_node, clock_mode, 1e-3, zeta=0.85)
-        jittered = LinkConfig.symmetric(
-            lattice_node, NoiseField(sigma_b=1e-3), clock_mode, zeta=0.85, residual_phase_jitter=0.5
+    def test_phase_jitter_damps_contrast(self, lattice_node):
+        base = link_at(lattice_node, 1e-3, zeta=0.85)
+        jittered = LinkConfig(
+            lattice_node, lattice_node, NoiseField(sigma_b=1e-3), zeta=0.85, residual_phase_jitter=0.5
         )
         t = 5e-3
         ratio = float(model.link_curves(jittered, t).visibility) / float(model.link_curves(base, t).visibility)

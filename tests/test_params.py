@@ -31,3 +31,8 @@ def test_each_decay_law_carries_its_name_and_power(cls, law, power):
 
 def test_laws_of_equal_lifetime_differ():
     assert ExponentialEfficiency(0.5) != GaussianAmplitude(0.5)
+
+
+def test_negative_sensitivity_is_rejected():
+    with pytest.raises(ValueError, match=r"^mu_prime: expected a value >= 0"):
+        EnsembleParams(chi=0.005, gamma_0=0.5, decay=ExponentialEfficiency(tau_d=1.0), mu_prime=-1.0)

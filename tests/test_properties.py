@@ -25,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
-from dlcz_link import EnsembleParams, ExponentialEfficiency, LinkConfig, NoiseField, SpinWaveMode
+from dlcz_link import EnsembleParams, ExponentialEfficiency, LinkConfig, NoiseField
 from dlcz_link import stochastic as st
 from dlcz_link.cli import FIGURE_IDS, main
 from dlcz_link.config import _SCHEMA
@@ -44,10 +44,9 @@ def bright_link() -> LinkConfig:
     # and jitter so the fringe kernel draws from every column
     def node(chi):
         return EnsembleParams(chi=chi, gamma_0=0.76, decay=ExponentialEfficiency(0.41), xi_se=0.26,
-                              z_noise=3e-3, eta=0.4)
+                              z_noise=3e-3, eta=0.4, mu_prime=5000.0)
 
-    mode = SpinWaveMode(mu_prime=5000.0)
-    return LinkConfig(node_l=node(0.3), node_r=node(0.05), mode_l=mode, mode_r=mode,
+    return LinkConfig(node_l=node(0.3), node_r=node(0.05),
                       noise=NoiseField(sigma_b=2e-3), zeta=0.85, residual_phase_jitter=0.3)
 
 

@@ -13,11 +13,11 @@ import pytest
 from scipy.stats import fisher_exact
 
 from dlcz_link import (
+    BOHR_MAGNETON_HZ_PER_G,
     EnsembleParams,
     ExponentialEfficiency,
     LinkConfig,
     NoiseField,
-    SpinWaveMode,
     Topology,
 )
 from dlcz_link import model
@@ -27,8 +27,8 @@ from conftest import assert_within_se, link_at
 
 
 @pytest.fixture()
-def plain_link(lattice_node, clock_mode) -> LinkConfig:
-    return link_at(lattice_node, clock_mode, 1e-3)  # sigma_delta = 2 mG
+def plain_link(lattice_node) -> LinkConfig:
+    return link_at(lattice_node, 1e-3)  # sigma_delta = 2 mG
 
 
 # Philox keys no mode uses (the modes key 0-2): one for sampling tests, and
@@ -110,11 +110,9 @@ class TestTrialStreams:
         # loud noise and unequal chi make every screen column the first live one
         def node(chi):
             return EnsembleParams(chi=chi, gamma_0=0.76, decay=ExponentialEfficiency(0.41), xi_se=0.26,
-                                  z_noise=0.4, eta=0.5)
+                                  z_noise=0.4, eta=0.5, mu_prime=5000.0)
 
-        mode = SpinWaveMode(mu_prime=5000.0)
-        proto = st._protocol(LinkConfig(node_l=node(0.05), node_r=node(0.09), mode_l=mode, mode_r=mode,
-                                        noise=NoiseField(sigma_b=1e-3)), 2e-3)
+        proto = st._protocol(LinkConfig(node_l=node(0.05), node_r=node(0.09), noise=NoiseField(sigma_b=1e-3)), 2e-3)
         seed, total = 99, 1000
         seen = []
 
@@ -197,10 +195,10 @@ class TestLorentzianSampling:
 
 class TestLinkPhases:
     @staticmethod
-    def fringe_at_widths(node, mode, topology, t):
+    def fringe_at_widths(node, topology, t):
         return [
             st.simulate_link_fringe(
-                LinkConfig.symmetric(node, NoiseField(sigma_b=sigma_b, topology=topology), mode),
+                LinkConfig(node, node, NoiseField(sigma_b=sigma_b, topology=topology)),
                 t,
                 trials_per_theta=20_000,
                 seed=7,
@@ -208,15 +206,15 @@ class TestLinkPhases:
             for sigma_b in (0.0, 4e-3)
         ]
 
-    def test_shared_supply_equal_every_trial(self, lattice_node, clock_mode):
+    def test_shared_supply_equal_every_trial(self, lattice_node):
         # one draw feeds both nodes, so the phase difference is exactly zero
         # every trial and the record does not depend on the field width
-        a, b = self.fringe_at_widths(lattice_node, clock_mode, Topology.SHARED, 0.02)
+        a, b = self.fringe_at_widths(lattice_node, Topology.SHARED, 0.02)
         assert a == b
 
-    def test_zero_time_zero_phase(self, lattice_node, clock_mode):
+    def test_zero_time_zero_phase(self, lattice_node):
         # no phase accumulates at t = 0, even from independent supplies
-        a, b = self.fringe_at_widths(lattice_node, clock_mode, Topology.INDEPENDENT, 0.0)
+        a, b = self.fringe_at_widths(lattice_node, Topology.INDEPENDENT, 0.0)
         assert a == b
 
     def test_independent_difference_dephases_like_double_width(self, plain_link):
@@ -232,9 +230,10 @@ class TestLinkPhases:
 
 
 class TestLinkTrial:
-    def test_no_excitation_never_heralds(self, lattice_node, clock_mode):
-        node = EnsembleParams(chi=0.0, gamma_0=0.76, decay=lattice_node.decay, xi_se=0.26, z_noise=3e-4, eta=0.4)
-        cfg = link_at(node, clock_mode, 1e-3)
+    def test_no_excitation_never_heralds(self, lattice_node):
+        node = EnsembleParams(chi=0.0, gamma_0=0.76, decay=lattice_node.decay, xi_se=0.26, z_noise=3e-4, eta=0.4,
+                              mu_prime=5000.0)
+        cfg = link_at(node, 1e-3)
         fringe = st.simulate_link_fringe(cfg, 0.0, trials_per_theta=1000, seed=3)
         assert fringe.n_heralds == 0
         assert sum(b.n_heralds for b in fringe.theta_bins_alt) == 0
@@ -254,9 +253,10 @@ class TestLinkTrial:
         p = lattice_node.chi * lattice_node.eta
         assert_within_se(rate, p, math.sqrt(p * (1 - p) / rec.n_trials))
 
-    def test_ideal_destructive_port(self, clock_mode):
-        node = EnsembleParams(chi=1e-4, gamma_0=1.0, decay=ExponentialEfficiency(1.0), xi_se=0.0, z_noise=0.0, eta=1.0)
-        cfg = link_at(node, clock_mode, 0.0)
+    def test_ideal_destructive_port(self):
+        node = EnsembleParams(chi=1e-4, gamma_0=1.0, decay=ExponentialEfficiency(1.0), xi_se=0.0, z_noise=0.0, eta=1.0,
+                              mu_prime=5000.0)
+        cfg = link_at(node, 0.0)
         # bin 1 of two scans theta = pi
         rec = st.simulate_link_fringe(cfg, 0.0, trials_per_theta=1_000_000, seed=3, theta_points=2)
         destructive = rec.theta_bins[1]
@@ -274,13 +274,14 @@ class TestLinkTrial:
         rec = st.simulate_link_pairs(plain_link, 0.0, trials=200_000, seed=29)
         assert rec.pij_counts.total == rec.pair_heralds
 
-    def test_doubling_chi_quadruples_unconditional_p11(self, clock_mode):
+    def test_doubling_chi_quadruples_unconditional_p11(self):
         # with the noise channels off, both-channel coincidences need two
         # pairs, so their unconditional rate scales as chi^2
         rates, ses = [], []
         for chi in (0.02, 0.04):
-            node = EnsembleParams(chi=chi, gamma_0=0.76, decay=ExponentialEfficiency(1.0), xi_se=0.0, z_noise=0.0, eta=1.0)
-            cfg = link_at(node, clock_mode, 0.0)
+            node = EnsembleParams(chi=chi, gamma_0=0.76, decay=ExponentialEfficiency(1.0), xi_se=0.0, z_noise=0.0,
+                                  eta=1.0, mu_prime=5000.0)
+            cfg = link_at(node, 0.0)
             rec = st.simulate_link_pairs(cfg, 0.0, trials=1_000_000, seed=41)
             rate = rec.pij_counts.n11 / rec.pair_trials
             rates.append(rate)
@@ -289,10 +290,10 @@ class TestLinkTrial:
         se_ratio = ratio * math.sqrt((ses[0] / rates[0]) ** 2 + (ses[1] / rates[1]) ** 2)
         assert_within_se(ratio, 4.0, se_ratio)
 
-    def test_fringe_detectors_must_match(self, lattice_node, clock_mode):
-        other = EnsembleParams(chi=0.005, gamma_0=0.76, decay=lattice_node.decay, xi_se=0.26, z_noise=3e-4, eta=0.2)
-        cfg = LinkConfig(node_l=lattice_node, node_r=other, noise=NoiseField(sigma_b=1e-3),
-                         mode_l=clock_mode, mode_r=clock_mode)
+    def test_fringe_detectors_must_match(self, lattice_node):
+        other = EnsembleParams(chi=0.005, gamma_0=0.76, decay=lattice_node.decay, xi_se=0.26, z_noise=3e-4, eta=0.2,
+                               mu_prime=5000.0)
+        cfg = LinkConfig(node_l=lattice_node, node_r=other, noise=NoiseField(sigma_b=1e-3))
         with pytest.raises(ValueError):
             st.simulate_link_fringe(cfg, 0.0, trials_per_theta=10, seed=1)
 
@@ -304,7 +305,7 @@ class TestLinkTrial:
         ],
         ids=["fringe", "pairs"],
     )
-    def test_unequal_eta_raises_on_the_caller(self, lattice_node, clock_mode, run, monkeypatch):
+    def test_unequal_eta_raises_on_the_caller(self, lattice_node, run, monkeypatch):
         # the shared-detector rule is checked once per run, before any word
         # is drawn: on a link with candidates and on one without (chi = 0 and
         # no noise, so q = 0) the error comes from the calling thread, no
@@ -312,20 +313,19 @@ class TestLinkTrial:
         drawn = []
         original = st.trial_uniforms
         monkeypatch.setattr(st, "trial_uniforms", lambda *a: drawn.append(a[2]) or original(*a))
-        quiet = EnsembleParams(chi=0.0, gamma_0=0.76, decay=lattice_node.decay, eta=0.4)
+        quiet = EnsembleParams(chi=0.0, gamma_0=0.76, decay=lattice_node.decay, eta=0.4, mu_prime=5000.0)
         for node in (lattice_node, quiet):
-            cfg = LinkConfig(node_l=node, node_r=dataclasses.replace(node, eta=0.2),
-                             noise=NoiseField(sigma_b=1e-3), mode_l=clock_mode, mode_r=clock_mode)
+            cfg = LinkConfig(node_l=node, node_r=dataclasses.replace(node, eta=0.2), noise=NoiseField(sigma_b=1e-3))
             threads = threading.active_count()
             with pytest.raises(ValueError, match="per-arm detection efficiencies must be equal"):
                 run(cfg, 1 << 17)
             assert threading.active_count() == threads
         assert drawn == []
 
-    def test_correlation_mode_runs_on_unequal_eta(self, lattice_node, clock_mode):
+    def test_correlation_mode_runs_on_unequal_eta(self, lattice_node):
         # unmixed, each arm has its own detectors: each channel clicks with its own eta
         cfg = LinkConfig(node_l=lattice_node, node_r=dataclasses.replace(lattice_node, eta=0.2),
-                         noise=NoiseField(sigma_b=1e-3), mode_l=clock_mode, mode_r=clock_mode)
+                         noise=NoiseField(sigma_b=1e-3))
         trials = 400_000
         rec = st.simulate_link_correlation(cfg, 0.0, trials=trials, seed=7)
         chi = lattice_node.chi
@@ -355,8 +355,9 @@ class TestCandidateLaw:
 
     @staticmethod
     def link(chi: float, z_noise: float, eta: float) -> LinkConfig:
-        node = EnsembleParams(chi=chi, gamma_0=0.76, decay=ExponentialEfficiency(0.41), z_noise=z_noise, eta=eta)
-        return link_at(node, SpinWaveMode(mu_prime=5000.0), 1e-3)
+        node = EnsembleParams(chi=chi, gamma_0=0.76, decay=ExponentialEfficiency(0.41), z_noise=z_noise, eta=eta,
+                              mu_prime=5000.0)
+        return link_at(node, 1e-3)
 
     def test_no_candidates_when_q_is_zero(self, monkeypatch):
         # chi = 0 and no noise: no trial can click, so no word is drawn
@@ -542,10 +543,9 @@ class TestHeraldFirst:
         def node(chi):
             # background raised tenfold so that trials without a pair click often
             return EnsembleParams(chi=chi, gamma_0=0.76, decay=ExponentialEfficiency(0.41), xi_se=0.26,
-                                  z_noise=3e-3, eta=0.4)
+                                  z_noise=3e-3, eta=0.4, mu_prime=5000.0)
 
-        mode = SpinWaveMode(mu_prime=5000.0)
-        return LinkConfig(node_l=node(chi_a), node_r=node(chi_b), mode_l=mode, mode_r=mode,
+        return LinkConfig(node_l=node(chi_a), node_r=node(chi_b),
                           noise=NoiseField(sigma_b=2e-3, topology=topology), zeta=0.85,
                           residual_phase_jitter=jitter)
 
@@ -602,8 +602,8 @@ class TestClickThresholds:
     @pytest.fixture()
     def proto(self):
         node = EnsembleParams(chi=0.01, gamma_0=0.6, decay=ExponentialEfficiency(1.0), xi_se=0.5,
-                              z_noise=3e-3, eta=self.ETA)
-        return st._protocol(link_at(node, SpinWaveMode(mu_prime=0.0), 0.0), 0.0)
+                              z_noise=3e-3, eta=self.ETA, mu_prime=0.0)
+        return st._protocol(link_at(node, 0.0), 0.0)
 
     @staticmethod
     def rows(cells: list[dict[int, float]]) -> np.ndarray:
@@ -683,10 +683,8 @@ class TestSingleEnsembleTrial:
         # exactly, so runs at different widths are bit-identical
         records = []
         for sigma_b in (0.0, 4e-3):
-            pair = LinkConfig.symmetric(
-                measured_pair.node_r, NoiseField(sigma_b=sigma_b, topology=Topology.SHARED),
-                SpinWaveMode.mfs(), zeta=0.85,
-            )
+            node = measured_pair.node_r
+            pair = LinkConfig(node, node, NoiseField(sigma_b=sigma_b, topology=Topology.SHARED), zeta=0.85)
             records.append(st.simulate_link_fringe(pair, 50e-6, trials_per_theta=20_000, seed=13))
         assert records[0] == records[1]
 
@@ -694,13 +692,13 @@ class TestSingleEnsembleTrial:
         # the mode pair, and a shared-supply link whose arms differ in mu':
         # one field sample dephases both with |mu'_a - mu'_b| sigma_b
         shared_link = LinkConfig(
-            node_l=lattice_node, node_r=lattice_node,
-            noise=NoiseField(sigma_b=2e-3, topology=Topology.SHARED),
-            mode_l=SpinWaveMode(mu_prime=0.0), mode_r=SpinWaveMode(mu_prime=5000.0), zeta=0.85,
+            node_l=dataclasses.replace(lattice_node, mu_prime=0.0),
+            node_r=dataclasses.replace(lattice_node, mu_prime=5000.0),
+            noise=NoiseField(sigma_b=2e-3, topology=Topology.SHARED), zeta=0.85,
         )
         for setup in (measured_pair, shared_link):
             tau_0 = model.link_curves(setup, 0.0).tau_0
-            delta_mu = abs(setup.mode_l.mu_prime - setup.mode_r.mu_prime)
+            delta_mu = abs(setup.node_l.mu_prime - setup.node_r.mu_prime)
             assert tau_0 == 1.0 / (2.0 * math.pi * delta_mu * setup.noise.sigma_b)
             rec = st.simulate_link_fringe(setup, tau_0, trials_per_theta=150_000, seed=37)
             vis = st.estimate_visibility(rec)
@@ -711,7 +709,9 @@ class TestSingleEnsembleTrial:
         # at t = 0 no phase has accumulated: with equal contrast the mixed
         # and matched pairings generate identical statistics (same draws)
         mixed = dataclasses.replace(measured_pair, xi_prime=1.0)
-        matched = dataclasses.replace(measured_pair, mode_l=SpinWaveMode.mfs(), xi_prime=1.0)
+        # arm a keeps its own write/read parameters and stores an MFS coherence
+        mfs_a = dataclasses.replace(measured_pair.node_l, mu_prime=BOHR_MAGNETON_HZ_PER_G)
+        matched = dataclasses.replace(measured_pair, node_l=mfs_a, xi_prime=1.0)
         a = st.simulate_link_fringe(mixed, 0.0, trials_per_theta=20_000, seed=2)
         b = st.simulate_link_fringe(matched, 0.0, trials_per_theta=20_000, seed=2)
         assert a == b
