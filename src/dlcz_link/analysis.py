@@ -109,17 +109,29 @@ def _multistart_fit(
     return best
 
 
-def _rate_to_lifetime(rate: float, rate_err: float, t_span: float) -> tuple[float, float]:
-    """Map a fitted decay rate to a lifetime; ~zero rates are the inf sentinel."""
-    floor = 1e-9 / t_span
-    if abs(rate) <= floor:
-        return math.inf, math.inf
+def _fit_rate(series: DecaySeries, shape: float | np.ndarray, power: int, a0: float, extra_starts=()) -> tuple:
+    """Fit shape a exp(-(r t)^power) by its rate r; returns a, its error, tau = 1/r, its error and the residual.
+
+    ``shape`` is 1.0 or one factor per sample time. The starts are ``a0``
+    with seven rates from 0.1 to 100 per time span, then ``extra_starts``.
+    A rate within 1e-9 of zero per time span is the exact tau = inf
+    sentinel; a clearly negative one raises, since the data then grows.
+    """
+    t_span = float(series.times[-1] - series.times[0])
+    fun = lambda tt, a, r: shape * a * _exp(-((r * tt) ** power))  # noqa: E731
+    starts = [(a0, r) for r in np.geomspace(0.1 / t_span, 100.0 / t_span, 7)] + list(extra_starts)
+    popt, pcov, resid = _multistart_fit(fun, series.times, series.values, starts)
+    a, rate = float(popt[0]), float(popt[1])
+    a_err, rate_err = (float(e) for e in np.sqrt(np.clip(np.diag(pcov), 0.0, None)))
+    if abs(rate) <= 1e-9 / t_span:
+        return a, a_err, math.inf, math.inf, resid
     if rate < 0.0:
         raise FitError(f"fitted a negative decay rate ({rate:.3g} 1/s): data grows with time")
     try:
-        return 1.0 / rate, rate_err / rate**2
+        tau_err = rate_err / rate**2
     except (OverflowError, ZeroDivisionError):  # rate**2 leaves the float range
-        return 1.0 / rate, rate_err / rate / rate
+        tau_err = rate_err / rate / rate
+    return a, a_err, 1.0 / rate, tau_err, resid
 
 
 def fit_decay(series: DecaySeries, law: str = "exponential") -> FitResult:
@@ -133,8 +145,7 @@ def fit_decay(series: DecaySeries, law: str = "exponential") -> FitResult:
         raise ValueError("need at least 3 points to fit a decay")
     if law not in DECAY_LAWS:
         raise ValueError(f"law must be one of {tuple(DECAY_LAWS)}, got {law!r}")
-    t, y = series.times, series.values
-    t_span = float(t[-1] - t[0])
+    y = series.values
 
     if np.ptp(y) == 0.0:
         return FitResult(
@@ -143,17 +154,10 @@ def fit_decay(series: DecaySeries, law: str = "exponential") -> FitResult:
             residual_norm=0.0,
         )
 
-    power = DECAY_LAWS[law].power
-    fun = lambda tt, a, r: a * _exp(-((r * tt) ** power))  # noqa: E731
-    a0 = float(np.max(np.abs(y)))
-    starts = [(a0, r) for r in np.geomspace(0.1 / t_span, 100.0 / t_span, 7)]
-    popt, pcov, resid = _multistart_fit(fun, t, y, starts)
-    a_fit, rate = float(popt[0]), float(popt[1])
-    errs = np.sqrt(np.clip(np.diag(pcov), 0.0, None))
-    tau, tau_err = _rate_to_lifetime(rate, float(errs[1]), t_span)
+    a, a_err, tau, tau_err, resid = _fit_rate(series, 1.0, DECAY_LAWS[law].power, float(np.max(np.abs(y))))
     return FitResult(
-        parameters={"amplitude": a_fit, "tau": tau},
-        std_errors={"amplitude": float(errs[0]), "tau": tau_err},
+        parameters={"amplitude": a, "tau": tau},
+        std_errors={"amplitude": a_err, "tau": tau_err},
         residual_norm=resid,
     )
 
@@ -215,21 +219,11 @@ def fit_visibility_dephasing(
     vg_vals = np.asarray(vg, dtype=float)
     if vg_vals.shape != series.times.shape:
         raise ValueError("vg must provide one value per sample time")
-    t_span = float(series.times[-1] - series.times[0])
-
-    def fun(tt, xi_p, rate):
-        return vg_vals * xi_p * _exp(-rate * tt)
-
-    starts = [(1.0, r) for r in np.geomspace(0.1 / t_span, 100.0 / t_span, 7)]
-    starts.append((1.0, 0.0))
-    popt, pcov, resid = _multistart_fit(fun, series.times, series.values, starts)
-    xi_p, rate = float(popt[0]), float(popt[1])
-    errs = np.sqrt(np.clip(np.diag(pcov), 0.0, None))
-    tau_0, tau_err = _rate_to_lifetime(rate, float(errs[1]), t_span)
+    xi_p, xi_err, tau_0, tau_err, resid = _fit_rate(series, vg_vals, 1, 1.0, [(1.0, 0.0)])
     sigma_b = 0.0 if math.isinf(tau_0) else 1.0 / (2.0 * math.pi * mu_prime * tau_0)
     return FitResult(
         parameters={"xi_prime": xi_p, "tau_0": tau_0, "sigma_b": sigma_b},
-        std_errors={"xi_prime": float(errs[0]), "tau_0": tau_err},
+        std_errors={"xi_prime": xi_err, "tau_0": tau_err},
         residual_norm=resid,
     )
 
@@ -299,7 +293,11 @@ def _brent(
     raise FitError(f"root search did not converge in {maxiter} iterations (last x = {xcur!r})")
 
 
-def _first_zero(inner: Callable[[float], float], xtol: float, t_max: float) -> float:
+#: s; the lifetime root gives up when the concurrence is still positive beyond it
+_LIFETIME_LIMIT = 1e4
+
+
+def _first_zero(inner: Callable[[float], float], xtol: float) -> float:
     """Smallest positive root of a decreasing sign-changing function.
 
     Doubles the bracket from 1 ms until it holds the root, or halves it
@@ -314,8 +312,8 @@ def _first_zero(inner: Callable[[float], float], xtol: float, t_max: float) -> f
     hi = 1e-3
     while inner(hi) > 0.0:
         hi *= 2.0
-        if hi > t_max:
-            raise FitError(f"no concurrence zero crossing below {t_max} s")
+        if hi > _LIFETIME_LIMIT:
+            raise FitError(f"no concurrence zero crossing below {_LIFETIME_LIMIT} s")
     top = hi
     if top == 1e-3:  # never doubled: the root is at most 1 ms
         while inner(hi / 2.0) <= 0.0:
@@ -328,13 +326,13 @@ def _first_zero(inner: Callable[[float], float], xtol: float, t_max: float) -> f
     return root
 
 
-def entanglement_lifetime(cfg: LinkConfig, *, xtol: float = 1e-4, t_max: float = 1e4) -> float:
+def entanglement_lifetime(cfg: LinkConfig, *, xtol: float = 1e-4) -> float:
     """Smallest storage time with zero concurrence, to 0.1 ms by default.
 
     A root below 1 ms is found to within 1e-6 T, where [T/2, T] is the
     power-of-two bracket that holds it, whatever ``xtol`` is: pairs of
     modes in one ensemble, which cross within microseconds, need no finer
-    ``xtol``.
+    ``xtol``. A link still entangled at 1e4 s raises FitError.
 
     The root is the first zero of the margin V(t) - 2 sqrt((1 - p_c)/g(t))
     of :func:`dlcz_link.model.link_curves`, p_c = gamma(t) eta. gamma, g, V
@@ -342,7 +340,7 @@ def entanglement_lifetime(cfg: LinkConfig, *, xtol: float = 1e-4, t_max: float =
     through p_c in that two-photon threshold: it grows with eta, and
     noticeably so wherever gamma(T_s) eta is not small.
     """
-    return _first_zero(lambda t: float(model.link_curves(cfg, t).margin), xtol, t_max)
+    return _first_zero(lambda t: float(model.link_curves(cfg, t).margin), xtol)
 
 
 def link_efficiency(t_s: float, t_g: float) -> float:

@@ -195,12 +195,21 @@ class LinkPoint:
     concurrence: ArrayLike
 
 
+def shared_detector_eta(cfg: LinkConfig) -> float:
+    """Efficiency eta of the detectors the arms share in fringe and pair-count detection, and in p_c = gamma eta."""
+    eta = cfg.node_l.eta
+    if cfg.node_r.eta != eta:
+        raise ValueError(f"per-arm detection efficiencies must be equal, got {eta} and {cfg.node_r.eta}")
+    return eta
+
+
 def link_curves(cfg: LinkConfig, t: ArrayLike) -> LinkPoint:
     """Everything the two-arm closed-form layer predicts at storage time t.
 
     gamma and g are the arm averages (gamma_a + gamma_b)/2 and
-    (g_a + g_b)/2, and p_c = gamma eta with the detection efficiency of
-    arm a (the engine's shared detectors need it equal in both arms).
+    (g_a + g_b)/2, and p_c = gamma eta with the efficiency of the detectors
+    the arms share (:func:`shared_detector_eta`; unequal per-arm
+    efficiencies raise).
     tau_0 is set by the phase 2 pi t (mu'_a dB_a - mu'_b dB_b): width
     (mu'_a + mu'_b) sigma_b for independent field samples,
     |mu'_a - mu'_b| sigma_b for one shared sample. The fringe contrast
@@ -222,7 +231,7 @@ def link_curves(cfg: LinkConfig, t: ArrayLike) -> LinkPoint:
     # exp(-jitter^2/2) is 0.0 in floats from jitter ~ 39 on; jitter**2 overflows near 1e154
     contrast = cfg.zeta * cfg.xi_prime * (math.exp(-0.5 * jitter**2) if jitter < 100.0 else 0.0)
     vis = visibility(g, t, tau_0, zeta=contrast)
-    p_c = gamma * node_a.eta
+    p_c = gamma * shared_detector_eta(cfg)
     margin = concurrence_margin(p_c, vis, g)
     conc = concurrence_param(p_c, vis, g)
     return LinkPoint(gamma=gamma, g=g, tau_0=tau_0, visibility=vis, margin=margin, concurrence=conc)

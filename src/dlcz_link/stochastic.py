@@ -46,7 +46,10 @@ experiment, one ``simulate_link_*`` function each:
   give the cross-correlation g.
 
 Each takes one two-arm :class:`~dlcz_link.params.LinkConfig`, whose arms
-are two nodes or two modes of one cloud. The stochastic phase is
+are two nodes or two modes of one cloud, and evaluates each arm once per
+run into one ``_Arm``: its physics at the storage time, the thresholds of
+its pair number and its word columns, which is all a kernel reads of an
+arm. The stochastic phase is
 2 pi t (mu'_a dB_a - mu'_b dB_b) with Lorentzian field samples of width
 sigma_b: independent per arm for independent supplies (the coherence
 decays with tau_0 = 1/(2 pi (mu'_a + mu'_b) sigma_b)), one shared sample
@@ -121,9 +124,11 @@ _COL_BG_A = 19
 _COL_BG_B = 20
 _COL_JITTER = 21
 _ROW_WIDTH = 22
-# per arm: pair number, Stokes ports, retrieval, anti-Stokes ports, retrieval noise, background
-_ARM_COLS_A = (_COL_N_A, _COL_STOKES_A, _COL_RETRIEVE_A, _COL_PORT_A, _COL_SE_A, _COL_BG_A)
-_ARM_COLS_B = (_COL_N_B, _COL_STOKES_B, _COL_RETRIEVE_B, _COL_PORT_B, _COL_SE_B, _COL_BG_B)
+# per arm: pair number, Stokes ports, field, retrieval, anti-Stokes ports, retrieval noise, background
+_ARM_COLS = (
+    (_COL_N_A, _COL_STOKES_A, _COL_FIELD_A, _COL_RETRIEVE_A, _COL_PORT_A, _COL_SE_A, _COL_BG_A),
+    (_COL_N_B, _COL_STOKES_B, _COL_FIELD_B, _COL_RETRIEVE_B, _COL_PORT_B, _COL_SE_B, _COL_BG_B),
+)
 
 # the screen columns, in the order of the first-live-column law
 _SCREEN_COLS = (_COL_N_A, _COL_N_B, _COL_SE_A, _COL_SE_B, _COL_BG_A, _COL_BG_B)
@@ -217,11 +222,10 @@ def _screen_law(proto: _Protocol) -> _ScreenLaw:
     A pair-number word is live at or above P(n = 0), a noise word below
     ``noise_max``, the largest noise click probability of any kernel.
     """
-    a, b = proto.arm_a, proto.arm_b
-    noise_max = max(p * arm.eta for arm in (a, b) for p in (arm.se_noise, arm.z_noise))
-    p0 = [_thermal_thresholds(arm.chi)[0] for arm in (a, b)]
-    live = np.array([(p0[0], 1.0), (p0[1], 1.0)] + [(0.0, noise_max)] * 4)
-    dead = np.array([(0.0, p0[0]), (0.0, p0[1])] + [(noise_max, 1.0)] * 4)
+    a, b = proto.arms
+    noise_max = max(p * arm.eta for arm in proto.arms for p in (arm.se_noise, arm.z_noise))
+    live = np.array([(a.p0, 1.0), (b.p0, 1.0)] + [(0.0, noise_max)] * 4)
+    dead = np.array([(0.0, a.p0), (0.0, b.p0)] + [(noise_max, 1.0)] * 4)
     width = live[:, 1] - live[:, 0]  # a_c
     cum = np.cumsum(width * np.cumprod(np.concatenate(([1.0], 1.0 - width[:-1]))))
     first, j = np.indices((len(_SCREEN_COLS),) * 2)  # [J, j]: screen word j when J is the first live one
@@ -264,40 +268,41 @@ def _tally(
 
 
 @dataclass(frozen=True)
-class _ArmPhysics:
-    """One retrieval channel at a fixed storage time."""
+class _Arm:
+    """One arm of a protocol at a fixed storage time: its physics, its pair-number thresholds and its word columns."""
 
     chi: float
+    p0: float  # P(n = 0) of its pair number n, P(n) proportional to chi^n up to n = 2
+    p1: float  # P(n <= 1)
     gamma: float
-    xi_se: float
+    se_noise: float  # trial-averaged retrieval-noise emission probability chi (1 - gamma) xi_se, additive per node
     z_noise: float
     eta: float
     mu_prime: float
-
-    @property
-    def se_noise(self) -> float:
-        # trial-averaged retrieval-noise emission probability, additive per node
-        return self.chi * (1.0 - self.gamma) * self.xi_se
+    cols: tuple  # its words of a candidate's row: one entry of _ARM_COLS
 
 
-def _arm(node: EnsembleParams, t: float) -> _ArmPhysics:
+def _arm(node: EnsembleParams, t: float, cols: tuple) -> _Arm:
     gamma = float(model.retrieval_efficiency(node.gamma_0, node.decay, t))
-    return _ArmPhysics(
+    norm = 1.0 + node.chi + node.chi * node.chi
+    return _Arm(
         chi=node.chi,
+        p0=1.0 / norm,
+        p1=1.0 / norm + node.chi / norm,
         gamma=gamma,
-        xi_se=node.xi_se,
+        se_noise=node.chi * (1.0 - gamma) * node.xi_se,
         z_noise=node.z_noise,
         eta=node.eta,
         mu_prime=node.mu_prime,
+        cols=cols,
     )
 
 
 @dataclass(frozen=True)
 class _Protocol:
-    """Fully evaluated two-arm trial description at one storage time."""
+    """Fully evaluated two-arm trial description at one storage time: ``arms`` is arm a and arm b, one ``_Arm`` each."""
 
-    arm_a: _ArmPhysics
-    arm_b: _ArmPhysics
+    arms: tuple[_Arm, _Arm]
     sigma_b: float
     shared_field: bool
     time: float
@@ -313,11 +318,10 @@ def _protocol(setup: LinkConfig, t: float, *, shared_detectors: bool = False) ->
     """
     if t < 0.0:
         raise ValueError("storage time t must be >= 0")
-    if shared_detectors and setup.node_l.eta != setup.node_r.eta:
-        raise ValueError("this mode shares detectors between arms; per-arm detection efficiencies must be equal")
+    if shared_detectors:
+        model.shared_detector_eta(setup)
     return _Protocol(
-        arm_a=_arm(setup.node_l, t),
-        arm_b=_arm(setup.node_r, t),
+        arms=tuple(_arm(node, t, cols) for node, cols in zip((setup.node_l, setup.node_r), _ARM_COLS)),
         sigma_b=setup.noise.sigma_b,
         shared_field=setup.noise.topology is Topology.SHARED,
         time=t,
@@ -343,26 +347,15 @@ def lorentzian_from_uniform(sigma: float, u: np.ndarray) -> np.ndarray:
     return sigma * np.tan(np.pi * (u - 0.5))
 
 
-def _thermal_thresholds(chi: float) -> tuple[float, float]:
-    """Uniform thresholds P(n = 0) and P(n <= 1) of the pair-number law."""
-    norm = 1.0 + chi + chi * chi
-    p0 = 1.0 / norm
-    return p0, p0 + chi / norm
-
-
-def _thermal_counts(u: np.ndarray, chi: float) -> np.ndarray:
-    """Pair number per trial: P(n) proportional to chi^n, truncated at n = 2."""
-    p0, p1 = _thermal_thresholds(chi)
-    return (u >= p0).astype(np.int8) + (u >= p1).astype(np.int8)
-
-
-def _stokes_side(arm: _ArmPhysics, u: np.ndarray, cols: tuple):
+def _stokes_side(arm: _Arm, u: np.ndarray):
     """One arm's pair number and its Stokes clicks at the two ports of the 50/50 splitter (threshold detectors)."""
-    n = _thermal_counts(u[:, cols[0]], arm.chi)
+    col_n, stokes_cols = arm.cols[:2]
+    u_n = u[:, col_n]
+    n = (u_n >= arm.p0).astype(np.int8) + (u_n >= arm.p1).astype(np.int8)
     half = 0.5 * arm.eta
     s1 = np.zeros(n.shape, dtype=bool)
     s2 = np.zeros(n.shape, dtype=bool)
-    for k, col in enumerate(cols[1]):
+    for k, col in enumerate(stokes_cols):
         exists = n > k
         uu = u[:, col]
         s1 |= exists & (uu < half)
@@ -370,15 +363,7 @@ def _stokes_side(arm: _ArmPhysics, u: np.ndarray, cols: tuple):
     return n, s1, s2
 
 
-def _field_samples(u: np.ndarray, proto: _Protocol):
-    """Lorentzian field offsets per arm; one shared draw when wired in series."""
-    db_a = lorentzian_from_uniform(proto.sigma_b, u[:, _COL_FIELD_A])
-    if proto.shared_field:
-        return db_a, db_a
-    return db_a, lorentzian_from_uniform(proto.sigma_b, u[:, _COL_FIELD_B])
-
-
-def _anti_stokes(arm: _ArmPhysics, n: np.ndarray, u: np.ndarray, cols: tuple, port: float, live=True):
+def _anti_stokes(arm: _Arm, n: np.ndarray, u: np.ndarray, port: float, live=True):
     """One arm's anti-Stokes clicks through a detector port of probability ``port`` (eta, or eta/2 mixed).
 
     A retrieved photon (per pair, retrieval uniform below gamma) clicks when
@@ -386,7 +371,7 @@ def _anti_stokes(arm: _ArmPhysics, n: np.ndarray, u: np.ndarray, cols: tuple, po
     below its emission probability times ``port``. ``live`` masks the
     retrieved photons that click this way; the noise channels always count.
     """
-    _, _, rcols, pcols, col_se, col_bg = cols
+    *_, rcols, pcols, col_se, col_bg = arm.cols
     click = np.zeros(n.shape, dtype=bool)
     for k in range(2):
         click |= live & (n > k) & (u[:, rcols[k]] < arm.gamma) & (u[:, pcols[k]] < port)
@@ -397,15 +382,16 @@ def _anti_stokes(arm: _ArmPhysics, n: np.ndarray, u: np.ndarray, cols: tuple, po
 
 def _fringe_batch(proto: _Protocol, theta: np.ndarray, u: np.ndarray):
     """Interference-mode trials; returns the Stokes port flags and D_aS1 clicks."""
-    a, b = proto.arm_a, proto.arm_b
+    a, b = proto.arms
     eta = a.eta  # equal in both arms, checked once per run by _protocol
-    n_a, s1, s2 = _stokes_side(a, u, _ARM_COLS_A)
-    n_b, s1_b, s2_b = _stokes_side(b, u, _ARM_COLS_B)
+    (n_a, s1, s2), (n_b, s1_b, s2_b) = (_stokes_side(arm, u) for arm in proto.arms)
     s1 |= s1_b
     s2 |= s2_b
     heralded_any = s1 | s2
 
-    db_a, db_b = _field_samples(u, proto)
+    # Lorentzian field offsets from each arm's field word (cols[2]); one shared draw when wired in series
+    db_a = lorentzian_from_uniform(proto.sigma_b, u[:, a.cols[2]])
+    db_b = db_a if proto.shared_field else lorentzian_from_uniform(proto.sigma_b, u[:, b.cols[2]])
     phase = 2.0 * np.pi * proto.time * (a.mu_prime * db_a - b.mu_prime * db_b) + theta
     if proto.jitter_rms > 0.0:
         # imported here: scipy.special costs ~0.2 s to load, paid only by jittered runs
@@ -429,17 +415,17 @@ def _fringe_batch(proto: _Protocol, theta: np.ndarray, u: np.ndarray):
     click1 = coherent & (u[:, _COL_COHERENT] < p1)
 
     # every other retrieved photon, and every noise photon, picks a port at random
-    for arm, n, cols in ((a, n_a, _ARM_COLS_A), (b, n_b, _ARM_COLS_B)):
-        click1 |= _anti_stokes(arm, n, u, cols, 0.5 * eta, incoherent)
+    for arm, n in zip(proto.arms, (n_a, n_b)):
+        click1 |= _anti_stokes(arm, n, u, 0.5 * eta, incoherent)
     return s1, s2, click1
 
 
 def _unmixed(proto: _Protocol, u: np.ndarray):
     """Per arm, no output mixing: its two Stokes port clicks and its anti-Stokes click."""
     out = []
-    for arm, cols in ((proto.arm_a, _ARM_COLS_A), (proto.arm_b, _ARM_COLS_B)):
-        n, s1, s2 = _stokes_side(arm, u, cols)
-        out.append((s1, s2, _anti_stokes(arm, n, u, cols, arm.eta)))
+    for arm in proto.arms:
+        n, s1, s2 = _stokes_side(arm, u)
+        out.append((s1, s2, _anti_stokes(arm, n, u, arm.eta)))
     return out
 
 

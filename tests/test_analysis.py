@@ -173,6 +173,17 @@ class TestEntanglementLifetime:
         with pytest.raises(ValueError, match="never entangled"):
             analysis.entanglement_lifetime(link_at(noisy, 1e-3, zeta=0.85))
 
+    def test_unequal_eta_raises(self, lattice_node):
+        # the closed form models the detectors both arms share: a link whose
+        # arms disagree on their efficiency has no such detector, for the
+        # curves as for the root
+        cfg = LinkConfig(lattice_node, replace(lattice_node, eta=0.2), NoiseField(sigma_b=1e-3), zeta=0.85)
+        with pytest.raises(ValueError, match="per-arm detection efficiencies must be equal"):
+            model.link_curves(cfg, 1e-3)
+        with pytest.raises(ValueError, match="per-arm detection efficiencies must be equal"):
+            analysis.entanglement_lifetime(cfg)
+        assert model.shared_detector_eta(link_at(lattice_node, 1e-3)) == lattice_node.eta
+
     def test_monotone_in_field_width(self, lattice_node):
         widths = np.linspace(0.0, 3e-3, 10)
         lifetimes = [

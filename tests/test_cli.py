@@ -224,6 +224,12 @@ class TestErrors:
         assert run_cli(["curve", "--config", cfg]) == 1
         assert capsys.readouterr().err == f"error: out of memory: {message}\n"
 
+    def test_lifetime_beyond_the_search_limit_is_exit_1(self, tmp_path, capsys):
+        # with tau_d = 1e6 s and no field noise the concurrence is still positive at 1e4 s
+        cfg = write_config(tmp_path, {"link": {"tau_d": 1e6}, "table1": {"sigma_b_list": [0.0]}})
+        assert run_cli(["table1", "--config", cfg]) == 1
+        assert capsys.readouterr().err == "error: no concurrence zero crossing below 10000.0 s\n"
+
     def test_huge_jitter_gives_zero_contrast(self, tmp_path):
         cfg = write_config(tmp_path, {"link": {"residual_phase_jitter": 1e200}})
         out = tmp_path / "curve.json"

@@ -51,7 +51,7 @@ def layout_oracle(proto, seed: int, total: int):
     are its row, in which each screen word before J is squeezed onto its
     dead region and the one at J onto its live region.
     """
-    a, b = proto.arm_a, proto.arm_b
+    a, b = proto.arms[0], proto.arms[1]
     noise_max = max(p * arm.eta for arm in (a, b) for p in (arm.se_noise, arm.z_noise))
     p0 = [1.0 / (1.0 + arm.chi + arm.chi * arm.chi) for arm in (a, b)]
     # (row column, live region, dead region) of each screen word, in screen order
@@ -639,7 +639,7 @@ class TestClickThresholds:
     @pytest.mark.parametrize("arm", ["a", "b"])
     def test_retrieved_photon(self, proto, arm, k):
         # no Stokes click, so in fringe mode the photon is incoherent and picks a port
-        c, eta, gamma = self.COLS[arm], self.ETA, proto.arm_a.gamma
+        c, eta, gamma = self.COLS[arm], self.ETA, proto.arms[0].gamma
         pair = {c["n"]: self.PAIRS[k + 1]}
         ports = (below(eta / 2), eta / 2, below(eta), eta)
         cells = [{**pair, c["retrieve"][k]: 0.0, c["port"][k]: v} for v in ports]
@@ -655,7 +655,7 @@ class TestClickThresholds:
     @pytest.mark.parametrize("channel", ["se", "bg"])
     @pytest.mark.parametrize("arm", ["a", "b"])
     def test_noise_photon(self, proto, arm, channel):
-        p = proto.arm_a.se_noise if channel == "se" else proto.arm_a.z_noise
+        p = proto.arms[0].se_noise if channel == "se" else proto.arms[0].z_noise
         thr = p * self.ETA
         u = self.rows([{self.COLS[arm][channel]: v} for v in (below(thr / 2), thr / 2, below(thr), thr)])
         (_, _, c1), _, clicks, channels = self.kernels(proto, u)
