@@ -114,8 +114,9 @@ def _fit_rate(series: DecaySeries, shape: float | np.ndarray, power: int, a0: fl
 
     ``shape`` is 1.0 or one factor per sample time. The starts are ``a0``
     with seven rates from 0.1 to 100 per time span, then ``extra_starts``.
-    A rate within 1e-9 of zero per time span is the exact tau = inf
-    sentinel; a clearly negative one raises, since the data then grows.
+    A rate within 1e-9 of zero per time span, or negative but within 3
+    standard errors of zero, gives the tau = inf sentinel with an infinite
+    error; a rate further below zero raises, since the data then grows.
     """
     t_span = float(series.times[-1] - series.times[0])
     fun = lambda tt, a, r: shape * a * _exp(-((r * tt) ** power))  # noqa: E731
@@ -123,7 +124,8 @@ def _fit_rate(series: DecaySeries, shape: float | np.ndarray, power: int, a0: fl
     popt, pcov, resid = _multistart_fit(fun, series.times, series.values, starts)
     a, rate = float(popt[0]), float(popt[1])
     a_err, rate_err = (float(e) for e in np.sqrt(np.clip(np.diag(pcov), 0.0, None)))
-    if abs(rate) <= 1e-9 / t_span:
+    # 3 SE, fixed before any data was fitted: data too flat to resolve a decay must not fail on its noise's sign
+    if abs(rate) <= 1e-9 / t_span or -3.0 * rate_err <= rate < 0.0:
         return a, a_err, math.inf, math.inf, resid
     if rate < 0.0:
         raise FitError(f"fitted a negative decay rate ({rate:.3g} 1/s): data grows with time")
@@ -206,8 +208,8 @@ def fit_visibility_dephasing(
     ``vg`` is the noise-free visibility at the sample times. The implied
     field width is sigma_b = 1/(2 pi mu' tau_0) (zero for the tau_0 = inf
     sentinel), so ``mu_prime``, the sensitivity of the dephasing channel,
-    must be > 0; a clearly negative fitted rate raises, since the model has
-    no growing branch.
+    must be > 0; a fitted rate more than 3 standard errors below zero
+    raises, since the model has no growing branch.
     """
     if not mu_prime > 0.0:
         raise ValueError(

@@ -5,12 +5,18 @@ All outputs are pure functions of (configuration, seed): repeated
 invocations are byte-identical. CSV files are RFC-4180 style (CRLF line
 ends, header row, fixed documented column order) with floats printed to 9
 significant digits; JSON files carry full-precision floats in a
-``{"columns": [...], "rows": [...]}`` document.
+``{"columns": [...], "rows": [...]}`` document, which may hold ``NaN``
+(the sigma_b error of ``fit``) and ``Infinity`` (tau0 of ``curve`` at
+sigma_b = 0): Python's extension to JSON, which strict parsers reject.
+
+Every subcommand takes --config, --output and --format; ``mc`` also takes
+--seed, --trials and --theta-points, ``fit`` --seed (:data:`MC_SETTINGS`),
+and ``figure`` the required --figure-id.
 
 Exit codes: 0 means the output was written; 1 means it was not, and one
 line on stderr starting ``error:`` names the cause (a bad configuration
 key, a failed fit, an unreadable or unwritable path); 2 is an argparse
-usage error.
+usage error, such as a flag the subcommand does not take.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .config import ConfigError, RunConfig, config_from_dict, read_config, sweep
 from .params import LinkConfig, NoiseField
 
 FIGURE_IDS = ("4", "5", "6", "7", "8", "S1")
+MC_SETTINGS = {"mc": ("seed", "trials", "theta_points"), "fit": ("seed",)}  # the mc flags each subcommand reads
 
 _FIT_NOISE_STREAM = 101  # Philox key offset for the synthetic-fit noise
 
@@ -144,7 +151,11 @@ def _sigma_column_label(sigma_delta: float) -> str:
 
 
 def cmd_figure(cfg: RunConfig, figure_id: str):
-    """Model-generated data underlying one figure (curves only)."""
+    """Model-generated data underlying one figure (curves only).
+
+    Figures 6, 7 and S1 sample 0 to 3 ms at ``sweep_single.n_points``
+    points, ignoring ``sweep_single``'s t_start, t_end and spacing.
+    """
     if figure_id not in FIGURE_IDS:
         raise ConfigError(f"figure: unknown id {figure_id!r}; valid ids: {', '.join(FIGURE_IDS)}")
     if figure_id == "8":
@@ -264,9 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in specs.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=str, default=None, help="JSON configuration file")
-        p.add_argument("--seed", type=int, default=None, help="override mc.seed")
-        p.add_argument("--trials", type=int, default=None, help="override mc.trials")
-        p.add_argument("--theta-points", type=int, default=None, help="override mc.theta_points")
+        for key in MC_SETTINGS.get(name, ()):
+            p.add_argument("--" + key.replace("_", "-"), type=int, default=None, help=f"override mc.{key}")
         p.add_argument("--output", type=str, default=None, help="output path (default: stdout)")
         p.add_argument("--format", type=str, default=None, choices=("csv", "json"), help="output format")
         if name == "figure":
@@ -277,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     flags = {
-        "mc": {"seed": args.seed, "trials": args.trials, "theta_points": args.theta_points},
+        "mc": {key: getattr(args, key) for key in MC_SETTINGS.get(args.command, ())},
         "output": {"path": args.output, "format": args.format},
     }
     try:

@@ -169,20 +169,6 @@ def concurrence_margin(p_c: ArrayLike, v: ArrayLike, g: ArrayLike) -> ArrayLike:
     return v - 2.0 * np.sqrt((1.0 - p_c) / g)
 
 
-def concurrence_param(p_c: ArrayLike, v: ArrayLike, g: ArrayLike) -> ArrayLike:
-    """Parametric concurrence C = max(0, p_c (V - 2 sqrt((1 - p_c)/g))).
-
-    ``p_c`` is the conditional retrieval-detection probability gamma eta,
-    with gamma and g averaged over the two arms (see :func:`link_curves`).
-    """
-    p_c = np.asarray(p_c, dtype=float) if isinstance(p_c, np.ndarray) else float(p_c)
-    if np.any(np.asarray(p_c) < 0.0) or np.any(np.asarray(p_c) > 1.0):
-        raise ValueError("p_c must be in [0, 1]")
-    if np.any(np.asarray(g) < 1.0):
-        raise ValueError("cross-correlation g must be >= 1")
-    return np.maximum(0.0, p_c * concurrence_margin(p_c, v, g))
-
-
 @dataclass(frozen=True)
 class LinkPoint:
     """Closed-form link curves at one or more storage times."""
@@ -233,5 +219,5 @@ def link_curves(cfg: LinkConfig, t: ArrayLike) -> LinkPoint:
     vis = visibility(g, t, tau_0, zeta=contrast)
     p_c = gamma * shared_detector_eta(cfg)
     margin = concurrence_margin(p_c, vis, g)
-    conc = concurrence_param(p_c, vis, g)
+    conc = np.maximum(0.0, p_c * margin)
     return LinkPoint(gamma=gamma, g=g, tau_0=tau_0, visibility=vis, margin=margin, concurrence=conc)

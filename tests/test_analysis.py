@@ -65,6 +65,16 @@ class TestFitDecay:
             res = analysis.fit_decay(DecaySeries(t, noisy))
             assert abs(res.parameters["tau"] - 1e-3) / 1e-3 < 0.05
 
+    def test_flat_noisy_series_is_not_growth(self):
+        # tau = 100 s seen over 1 ms: the fitted rate is noise around zero, about
+        # as often negative as positive; none may read as growth and raise
+        t = np.linspace(0.0, 1e-3, 12)
+        clean = 0.7 * np.exp(-t / 100.0)
+        for seed in range(40):
+            noisy = clean * (1.0 + 0.03 * _rng(seed).standard_normal(t.size))
+            res = analysis.fit_decay(DecaySeries(t, noisy))
+            assert res.parameters["tau"] > 0.0
+
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             analysis.fit_decay(DecaySeries(np.array([0.0, 1.0]), np.array([1.0, 0.5])))

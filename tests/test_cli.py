@@ -207,8 +207,27 @@ class TestErrors:
         assert len(err.strip().splitlines()) == 1
 
     def test_flag_is_checked_like_the_file(self, capsys):
-        assert run_cli(["curve", "--theta-points", "4"]) == 1
+        assert run_cli(["mc", "--theta-points", "4"]) == 1
         assert capsys.readouterr().err == "error: mc.theta_points: expected an integer >= 8, got 4\n"
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["curve", "--seed", "1"], "--seed"),
+            (["table1", "--trials", "10"], "--trials"),
+            (["figure", "--figure-id", "4", "--theta-points", "8"], "--theta-points"),
+            (["fit", "--trials", "10"], "--trials"),
+        ],
+        ids=["curve-seed", "table1-trials", "figure-theta-points", "fit-trials"],
+    )
+    def test_flag_the_subcommand_ignores_is_a_usage_error(self, capsys, argv, flag):
+        # only mc reads mc.trials and mc.theta_points, and only mc and fit read mc.seed
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        assert flag in err
 
     def test_out_of_memory_is_exit_1(self, tmp_path, capsys, monkeypatch):
         # a sweep of 10^13 points cannot be allocated; the failure is simulated,

@@ -340,19 +340,25 @@ class TestConcurrence:
         with pytest.raises(ValueError):
             model.concurrence_from_probs(0.0, 0.0, 0.0, 0.0, 0.5)
 
+    @staticmethod
+    def param_form(p_c, v, g):
+        # the parametric concurrence link_curves returns: max(0, p_c (V - 2 sqrt((1 - p_c)/g)))
+        return np.maximum(0.0, p_c * model.concurrence_margin(p_c, v, g))
+
     def test_param_form_trivials(self):
-        assert model.concurrence_param(0.0, 0.9, 100.0) == 0.0
+        assert self.param_form(0.0, 0.9, 100.0) == 0.0
         # below threshold: V <= 2 sqrt((1-p_c)/g)
-        assert model.concurrence_param(0.3, 0.15, 100.0) == 0.0
-        assert model.concurrence_param(0.3, 0.9, 100.0) > 0.0
+        assert self.param_form(0.3, 0.15, 100.0) == 0.0
+        assert self.param_form(0.3, 0.9, 100.0) > 0.0
 
     def test_margin_sets_the_sign_of_the_param_form(self):
         # V - 2 sqrt((1 - p_c)/g): 0.9 - 2 sqrt(0.7/100) and 0.15 - 2 sqrt(0.7/100)
         assert model.concurrence_margin(0.3, 0.9, 100.0) == pytest.approx(0.9 - 2.0 * math.sqrt(0.007), rel=1e-15)
         assert model.concurrence_margin(0.3, 0.15, 100.0) < 0.0
         p_c = np.array([0.0, 0.1, 0.3, 0.7])
-        margin = model.concurrence_margin(p_c, 0.9, 100.0)
-        np.testing.assert_array_equal(model.concurrence_param(p_c, 0.9, 100.0), np.maximum(0.0, p_c * margin))
+        for v in (0.15, 0.9):
+            margin = model.concurrence_margin(p_c, v, 100.0)
+            np.testing.assert_array_equal(self.param_form(p_c, v, 100.0) > 0.0, (p_c > 0.0) & (margin > 0.0))
 
     def test_param_against_counting_form(self):
         # small-chi closed probabilities: p01 = p10 = p_c/2, p11 = p_c^2/g,
@@ -362,7 +368,7 @@ class TestConcurrence:
         p01 = p10 = p_c / 2.0
         p00 = 1.0 - p01 - p10 - p11
         counting = model.concurrence_from_probs(p00, p01, p10, p11, v)
-        param = float(model.concurrence_param(p_c, v, g))
+        param = float(self.param_form(p_c, v, g))
         assert counting == pytest.approx(param, rel=2e-2)
 
 
