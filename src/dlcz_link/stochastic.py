@@ -207,12 +207,13 @@ class _ScreenLaw:
         """
         # u q at or above q would pick a column past the last one of positive weight
         u = np.minimum(block[:, _WORD_FIRST] * self.q, np.nextafter(self.q, 0.0))
-        first = np.searchsorted(self.cum, u, "right")
+        # J counts cum[:-1] at or below u, which is searchsorted(cum, u, "right") as u <= nextafter(q, 0) < q = cum[-1]
+        first = np.sum([u >= c for c in self.cum[:-1]], axis=0, dtype=np.intp)
         for j, col in enumerate(_BLOCK_SCREENS):
             rows = np.flatnonzero(first >= j) if j else slice(None)
-            at = first[rows], j
-            # the guard keeps a product rounded up to hi inside [lo, hi)
-            block[rows, col] = np.minimum(self.lo[at] + block[rows, col] * self.width[at], self.guard[at])
+            at, words = first[rows], block[:, col]  # words: a view of the column, written in place
+            # 1-D gathers from column j's tables; the guard keeps a product rounded up to hi inside [lo, hi)
+            words[rows] = np.minimum(self.lo[:, j][at] + words[rows] * self.width[:, j][at], self.guard[:, j][at])
         return block[:, 2:]
 
 
