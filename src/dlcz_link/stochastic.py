@@ -18,8 +18,10 @@ probability of screen word c (1 - P(n = 0) for the two pair numbers,
 probability q = 1 - prod_c (1 - a_c), about 2 chi, independently of the
 others.
 
-Candidate k of a run reads words 24k..24k+23 of its mode's Philox stream
-(``trial_uniforms``). Word 0 is its gap G ~ Geometric(q) past the previous
+Candidate k of a run reads words 24k..24k+23 of its mode's PCG64DXSM stream
+(``trial_uniforms``; the DXSM output function of O'Neill's PCG family,
+HMC-CS-2014-0905, 2014, whose ``advance`` reaches word 24k in O(log k)
+steps). Word 0 is its gap G ~ Geometric(q) past the previous
 candidate, so candidates fall on the trials of iid Bernoulli(q) screens
 (geometric skipping; Devroye, *Non-Uniform Random Variate Generation*,
 1986). Word 1 picks its first live screen word J, with probability
@@ -32,8 +34,7 @@ whatever the chunk size, and the engine runs on the calling thread.
 A block of candidates is column-major: each word column is contiguous, so
 the conditioning and the kernels read whole columns at unit stride. The
 layout is in memory only; every word keeps the value it has in the stream
-order above (Philox is counter-based, so the words of a block may be laid
-out in any order).
+order above.
 
 Three measurement modes mirror the three detector configurations of the
 experiment, one ``simulate_link_*`` function each:
@@ -137,31 +138,34 @@ _WORD_GAP = 0
 _WORD_FIRST = 1
 _BLOCK_SCREENS = [2 + c for c in _SCREEN_COLS]
 
-# stream ids: mode m keys its Philox stream (m << 64) | seed
+# stream ids: mode m draws from the stream _bit_generator(seed, m)
 STREAM_FRINGE = 0
 STREAM_PAIRS = 1
 STREAM_CORRELATION = 2
 
-_MASK64 = (1 << 64) - 1
 _MAX_ROWS = 1 << 16  # candidates per kernel call; bounds the kernels' temporaries
-_FILL_ROWS = 1 << 12  # candidates per Philox fill; bounds the row-major staging buffer
+_FILL_ROWS = 1 << 12  # candidates per fill; bounds the row-major staging buffer
+
+
+def _bit_generator(seed: int, stream: int) -> np.random.PCG64DXSM:
+    """Start of the word stream of mode ``stream``: PCG64DXSM seeded by SeedSequence(seed, spawn_key=(stream,))."""
+    return np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(stream,)))
 
 
 def trial_uniforms(seed: int, start: int, count: int, stream: int = STREAM_FRINGE) -> np.ndarray:
     """Word blocks of candidates [start, start+count) of a run, shape (count, 24), column-major.
 
-    Candidate k reads words 24k..24k+23 of the Philox stream keyed
-    ``(stream << 64) | seed``, six 4-word Philox blocks, so any split of a
-    run into calls reproduces the same blocks bit for bit. The block is
-    Fortran-ordered, each word column contiguous; it is filled from one
-    generator ``_FILL_ROWS`` rows at a time, so the values are those of one
-    row-major draw and the staging buffer stays small.
+    Candidate k reads words 24k..24k+23 of its mode's stream, reached by one
+    ``advance(24 start)``, so any split of a run into calls reproduces the
+    same blocks bit for bit. The block is Fortran-ordered, each word column
+    contiguous; it is filled from one generator ``_FILL_ROWS`` rows at a
+    time, so the values are those of one row-major draw and the staging
+    buffer stays small.
     """
     if start < 0 or count < 0:
         raise ValueError("start and count must be >= 0")
-    key = ((stream & _MASK64) << 64) | (seed & _MASK64)
-    # int(): Philox.advance overflows on a numpy integer
-    gen = np.random.Generator(np.random.Philox(key=key).advance(WORDS_PER_TRIAL // 4 * int(start)))
+    # int(): PCG64DXSM.advance overflows on a numpy integer
+    gen = np.random.Generator(_bit_generator(seed, stream).advance(WORDS_PER_TRIAL * int(start)))
     out = np.empty((count, WORDS_PER_TRIAL), order="F")
     for lo in range(0, count, _FILL_ROWS):
         hi = min(lo + _FILL_ROWS, count)

@@ -31,8 +31,8 @@ def plain_link(lattice_node) -> LinkConfig:
     return link_at(lattice_node, 1e-3)  # sigma_delta = 2 mG
 
 
-# Philox keys no mode uses (the modes key 0-2): one for sampling tests, and
-# from DENSE_KEY on one per mode for the dense oracle
+# Philox keys, apart from the modes' PCG64DXSM streams: one for sampling
+# tests, and from DENSE_KEY on one per mode for the dense oracle
 FREE_STREAM = 3
 DENSE_KEY = 8
 
@@ -42,10 +42,20 @@ def philox_words(seed: int, key_high: int, count: int) -> np.ndarray:
     return np.random.Generator(np.random.Philox(key=(key_high << 64) | seed)).random(count)
 
 
+def mode_stream(seed: int, stream: int) -> np.random.PCG64DXSM:
+    """A mode's word stream, built here from numpy: PCG64DXSM seeded by SeedSequence(seed, spawn_key=(stream,))."""
+    return np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(stream,)))
+
+
+def mode_words(seed: int, stream: int, count: int) -> np.ndarray:
+    """The first count doubles of a mode's word stream."""
+    return np.random.Generator(mode_stream(seed, stream)).random(count)
+
+
 def layout_oracle(proto, seed: int, total: int):
     """Trial indices, rows and first live screen columns of a pair-mode run, transcribed word by word.
 
-    Candidate k reads words 24k..24k+23 of the pair key. Word 0 is its gap
+    Candidate k reads words 24k..24k+23 of the pair stream. Word 0 is its gap
     G = floor(ln(1 - u) / ln(1 - q)), so it falls G + 1 trials after the
     previous one; word 1 picks its first live screen column J; words 2-23
     are its row, in which each screen word before J is squeezed onto its
@@ -62,7 +72,7 @@ def layout_oracle(proto, seed: int, total: int):
     q = 1.0 - math.prod(1.0 - x for x in live)
     trials, rows, firsts = [], [], []
     trial = -1
-    for block in philox_words(seed, st.STREAM_PAIRS, 24 * total).reshape(total, 24):
+    for block in mode_words(seed, st.STREAM_PAIRS, 24 * total).reshape(total, 24):
         trial += 1 + math.floor(math.log1p(-block[0]) / math.log1p(-q))
         if trial >= total:
             break
@@ -89,8 +99,8 @@ class TestTrialStreams:
             )
 
     @pytest.mark.parametrize("parts", [1, 3, 5, 7])
-    def test_split_fill_is_one_philox_stream(self, parts):
-        # candidate k reads words 24k..24k+23 of its mode's key, however the
+    def test_split_fill_is_one_mode_stream(self, parts):
+        # candidate k reads words 24k..24k+23 of its mode's stream, however the
         # run's candidates are split into calls, whatever integer type the
         # first rank has, and wherever the calls' fill sub-blocks end; one
         # call returns a column-major block
@@ -101,12 +111,19 @@ class TestTrialStreams:
             blocks = np.vstack(calls)
             assert blocks.shape == (count, st.WORDS_PER_TRIAL)
             assert all(call.flags.f_contiguous for call in calls)
-            words = philox_words(seed, st.STREAM_PAIRS, 24 * (start + count))[24 * start :]
+            words = mode_words(seed, st.STREAM_PAIRS, 24 * (start + count))[24 * start :]
             np.testing.assert_array_equal(blocks, words.reshape(count, 24))
+
+    @pytest.mark.parametrize("start", [2**40, np.int64(2**40)])
+    def test_far_rank_is_one_advance(self, start):
+        # a candidate far past any block reads the words that one advance of
+        # the stream reaches, whether its rank is a Python or a numpy integer
+        words = np.random.Generator(mode_stream(99, st.STREAM_PAIRS).advance(24 * 2**40)).random((3, 24))
+        np.testing.assert_array_equal(st.trial_uniforms(99, start, 3, st.STREAM_PAIRS), words)
 
     def test_candidate_rows_known_answer(self):
         # every trial index and row the kernels see, against a scalar
-        # transcription of the layout from the raw words of the pair key;
+        # transcription of the layout from the raw words of the pair stream;
         # loud noise and unequal chi make every screen column the first live one
         def node(chi):
             return EnsembleParams(chi=chi, gamma_0=0.76, decay=ExponentialEfficiency(0.41), xi_se=0.26,
@@ -149,8 +166,8 @@ class TestTrialStreams:
         assert all(flags == [True] * 22 for _, flags in seen)
 
     def test_every_mode_column_has_its_own_key(self):
-        # each mode draws from its own key, none shared with the keys the
-        # sampling tests and the dense oracle draw from
+        # each mode draws from its own stream, none shared with the Philox
+        # keys the sampling tests and the dense oracle draw from
         seed = 99
         firsts = [st.trial_uniforms(seed, 0, 1, m)[0, 0] for m in (st.STREAM_FRINGE, st.STREAM_PAIRS, st.STREAM_CORRELATION)]
         firsts += [philox_words(seed, key, 1)[0] for key in (FREE_STREAM, DENSE_KEY, DENSE_KEY + 1, DENSE_KEY + 2)]
