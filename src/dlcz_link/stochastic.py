@@ -21,20 +21,19 @@ others.
 Candidate k of a run reads words 24k..24k+23 of its mode's PCG64DXSM stream
 (``trial_uniforms``; the DXSM output function of O'Neill's PCG family,
 HMC-CS-2014-0905, 2014, whose ``advance`` reaches word 24k in O(log k)
-steps). Word 0 is its gap G ~ Geometric(q) past the previous
-candidate, so candidates fall on the trials of iid Bernoulli(q) screens
-(geometric skipping; Devroye, *Non-Uniform Random Variate Generation*,
-1986). Word 1 picks its first live screen word J, with probability
-a_J prod_{i<J} (1 - a_i) / q. Words 2-23 are its row: screen words before
-J are mapped onto their dead region, the one at J onto its live region,
-and the rest used as drawn, so the row has the law of a full row given
-that the trial is a candidate. Records are bit-identical for a given seed
-whatever the chunk size, and the engine runs on the calling thread.
+steps). Word 0 is its gap G ~ Geometric(q) past the previous candidate, so
+candidates fall on the trials of iid Bernoulli(q) screens (geometric
+skipping; Devroye, *Non-Uniform Random Variate Generation*, 1986). Word 1
+picks its first live screen word J, with probability a_J prod_{i<J}
+(1 - a_i) / q. Words 2-23 are its row: screen words before J are mapped
+onto their dead region, the one at J onto its live region, and the rest
+used as drawn, so the row has the law of a full row given that the trial
+is a candidate. Records are bit-identical for a given seed whatever the
+chunk size, and the engine runs on the calling thread.
 
 A block of candidates is column-major: each word column is contiguous, so
 the conditioning and the kernels read whole columns at unit stride. The
-layout is in memory only; every word keeps the value it has in the stream
-order above.
+layout is in memory only: every word keeps its value in the stream order.
 
 Three measurement modes mirror the three detector configurations of the
 experiment, one ``simulate_link_*`` function each:
@@ -143,8 +142,9 @@ STREAM_FRINGE = 0
 STREAM_PAIRS = 1
 STREAM_CORRELATION = 2
 
-_MAX_ROWS = 1 << 16  # candidates per kernel call; bounds the kernels' temporaries
-_FILL_ROWS = 1 << 12  # candidates per fill; bounds the row-major staging buffer
+_MAX_ROWS = 1 << 13  # candidates per block (1.5 MB); bounds a run's peak memory and the kernels' temporaries
+_FILL_ROWS = 1 << 10  # candidates per fill; bounds the row-major staging buffer
+_DEFAULT_CHUNK = 1 << 16  # the drivers' chunk_size default; above _MAX_ROWS, so it never binds
 
 
 def _bit_generator(seed: int, stream: int) -> np.random.PCG64DXSM:
@@ -249,7 +249,7 @@ def _tally(
 ) -> np.ndarray:
     """Sum of the int64 tallies part(trial indices, rows) over the candidates among trials [0, total).
 
-    part sees at most min(chunk_size, 2^16) candidates per call, and runs at
+    part sees at most min(chunk_size, 2^13) candidates per call, and runs at
     least once, even on a run without candidates. Each call draws about the
     candidates expected in the trials left, plus four standard deviations.
     """
@@ -562,7 +562,7 @@ def simulate_link_fringe(
     trials_per_theta: int,
     seed: int,
     theta_points: int = 12,
-    chunk_size: int = _MAX_ROWS,
+    chunk_size: int = _DEFAULT_CHUNK,
 ) -> CountsRecord:
     """Fringe-mode run of a two-arm setup over the grid ``default_thetas(theta_points)``.
 
@@ -595,7 +595,7 @@ def simulate_link_fringe(
 
 
 def simulate_link_pairs(
-    setup: LinkConfig, t: float, *, trials: int, seed: int, chunk_size: int = _MAX_ROWS
+    setup: LinkConfig, t: float, *, trials: int, seed: int, chunk_size: int = _DEFAULT_CHUNK
 ) -> CountsRecord:
     """Pair-count-mode run of a two-arm setup (conditional p_ij tallies)."""
     if trials < 1:
@@ -614,7 +614,7 @@ def simulate_link_pairs(
 
 
 def simulate_link_correlation(
-    setup: LinkConfig, t: float, *, trials: int, seed: int, chunk_size: int = _MAX_ROWS
+    setup: LinkConfig, t: float, *, trials: int, seed: int, chunk_size: int = _DEFAULT_CHUNK
 ) -> CountsRecord:
     """Correlation-mode run of a two-arm setup (per-channel g tallies)."""
     if trials < 1:

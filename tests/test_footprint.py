@@ -86,8 +86,8 @@ def test_closed_form_subcommands_start_no_thread(closed_form_run):
     assert closed_form_run["threads"] == 1
 
 
-# one block of 2^16 candidates x 24 words x 8 B, the most words a driver draws at once
-BLOCK_BYTES = 12_582_912
+# one block of 2^13 candidates x 24 words x 8 B, the most words a driver draws at once
+BLOCK_BYTES = 1_572_864
 
 
 @pytest.fixture(scope="module")
@@ -95,8 +95,8 @@ def engine_run() -> dict:
     """Peak memory growth, live threads and loaded modules around a pair run of 3 x 2^20 trials in a fresh interpreter.
 
     At chi = 3% about 6% of the trials are candidates, so the run draws
-    three blocks, two of them full. A small run first keeps one-time costs
-    of the first call out of the growth.
+    about 24 blocks. A small run first keeps one-time costs of the
+    first call out of the growth.
     """
     code = """
 import json, resource, sys, threading
