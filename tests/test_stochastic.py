@@ -114,7 +114,7 @@ class TestTrialStreams:
             words = mode_words(seed, st.STREAM_PAIRS, 24 * (start + count))[24 * start :]
             np.testing.assert_array_equal(blocks, words.reshape(count, 24))
 
-    @pytest.mark.parametrize("start", [2**40, np.int64(2**40)])
+    @pytest.mark.parametrize("start", [2**40, np.int64(2**40)], ids=["int", "int64"])
     def test_far_rank_is_one_advance(self, start):
         # a candidate far past any block reads the words that one advance of
         # the stream reaches, whether its rank is a Python or a numpy integer
