@@ -63,14 +63,14 @@ def _write_json(columns: Sequence[str], rows: Sequence[Sequence], stream) -> Non
 
 
 def write_output(columns: Sequence[str], rows: Sequence[Sequence], cfg: RunConfig) -> None:
-    fmt = cfg.output.format
+    csv_format = cfg.output.format == "csv"
+    write = _write_csv if csv_format else _write_json
     if cfg.output.path is None:
-        (_write_csv if fmt == "csv" else _write_json)(columns, rows, sys.stdout)
+        write(columns, rows, sys.stdout)
         return
     path = Path(cfg.output.path)
-    newline = "" if fmt == "csv" else None
-    with path.open("w", encoding="utf-8", newline=newline) as stream:
-        (_write_csv if fmt == "csv" else _write_json)(columns, rows, stream)
+    with path.open("w", encoding="utf-8", newline="" if csv_format else None) as stream:
+        write(columns, rows, stream)
 
 
 # ---------------------------------------------------------------------------

@@ -106,32 +106,30 @@ __all__ = [
 #: the columns ``trial_uniforms`` returns.
 WORDS_PER_TRIAL = 24
 
-# column map of a candidate's row, words 2-23 of its block
-_COL_N_A = 0
-_COL_N_B = 1
-_COL_STOKES_A = (2, 3)
-_COL_STOKES_B = (4, 5)
-_COL_FIELD_A = 6
-_COL_FIELD_B = 7
+
+@dataclass(frozen=True)
+class _Cols:
+    """One arm's columns of a candidate's row, words 2-23 of its block; a pair's words are indexed by its slot k."""
+
+    n: int  # pair number
+    stokes: tuple[int, int]  # Stokes port
+    field: int  # Lorentzian field sample
+    retrieve: tuple[int, int]
+    port: tuple[int, int]  # anti-Stokes port
+    se: int  # retrieval noise
+    bg: int  # background
+
+
+# column map of a candidate's row: each arm's words, then the coherent-click and jitter words
+_ARM_COLS = (
+    _Cols(n=0, stokes=(2, 3), field=6, retrieve=(9, 10), port=(13, 14), se=17, bg=19),
+    _Cols(n=1, stokes=(4, 5), field=7, retrieve=(11, 12), port=(15, 16), se=18, bg=20),
+)
 _COL_COHERENT = 8
-_COL_RETRIEVE_A = (9, 10)
-_COL_RETRIEVE_B = (11, 12)
-_COL_PORT_A = (13, 14)
-_COL_PORT_B = (15, 16)
-_COL_SE_A = 17
-_COL_SE_B = 18
-_COL_BG_A = 19
-_COL_BG_B = 20
 _COL_JITTER = 21
 _ROW_WIDTH = 22
-# per arm: pair number, Stokes ports, field, retrieval, anti-Stokes ports, retrieval noise, background
-_ARM_COLS = (
-    (_COL_N_A, _COL_STOKES_A, _COL_FIELD_A, _COL_RETRIEVE_A, _COL_PORT_A, _COL_SE_A, _COL_BG_A),
-    (_COL_N_B, _COL_STOKES_B, _COL_FIELD_B, _COL_RETRIEVE_B, _COL_PORT_B, _COL_SE_B, _COL_BG_B),
-)
-
 # the screen columns, in the order of the first-live-column law
-_SCREEN_COLS = (_COL_N_A, _COL_N_B, _COL_SE_A, _COL_SE_B, _COL_BG_A, _COL_BG_B)
+_SCREEN_COLS = tuple(getattr(cols, name) for name in ("n", "se", "bg") for cols in _ARM_COLS)
 # a candidate's block: gap word, first-live-column word, then its row
 _WORD_GAP = 0
 _WORD_FIRST = 1
@@ -144,7 +142,6 @@ STREAM_CORRELATION = 2
 
 _MAX_ROWS = 1 << 13  # candidates per block (1.5 MB); bounds a run's peak memory and the kernels' temporaries
 _FILL_ROWS = 1 << 10  # candidates per fill; bounds the row-major staging buffer
-_DEFAULT_CHUNK = 1 << 16  # the drivers' chunk_size default; above _MAX_ROWS, so it never binds
 
 
 def _bit_generator(seed: int, stream: int) -> np.random.PCG64DXSM:
@@ -152,7 +149,7 @@ def _bit_generator(seed: int, stream: int) -> np.random.PCG64DXSM:
     return np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(stream,)))
 
 
-def trial_uniforms(seed: int, start: int, count: int, stream: int = STREAM_FRINGE) -> np.ndarray:
+def trial_uniforms(seed: int, start: int, count: int, stream: int) -> np.ndarray:
     """Word blocks of candidates [start, start+count) of a run, shape (count, 24), column-major.
 
     Candidate k reads words 24k..24k+23 of its mode's stream, reached by one
@@ -284,10 +281,10 @@ class _Arm:
     z_noise: float
     eta: float
     mu_prime: float
-    cols: tuple  # its words of a candidate's row: one entry of _ARM_COLS
+    cols: _Cols  # its words of a candidate's row
 
 
-def _arm(node: EnsembleParams, t: float, cols: tuple) -> _Arm:
+def _arm(node: EnsembleParams, t: float, cols: _Cols) -> _Arm:
     gamma = float(model.retrieval_efficiency(node.gamma_0, node.decay, t))
     norm = 1.0 + node.chi + node.chi * node.chi
     return _Arm(
@@ -347,20 +344,17 @@ def lorentzian_from_uniform(sigma: float, u: np.ndarray) -> np.ndarray:
     """
     if sigma < 0.0:
         raise ValueError("sigma must be >= 0")
-    if sigma == 0.0:
-        return np.zeros_like(u)
     return sigma * np.tan(np.pi * (u - 0.5))
 
 
 def _stokes_side(arm: _Arm, u: np.ndarray):
     """One arm's pair number and its Stokes clicks at the two ports of the 50/50 splitter (threshold detectors)."""
-    col_n, stokes_cols = arm.cols[:2]
-    u_n = u[:, col_n]
+    u_n = u[:, arm.cols.n]
     n = (u_n >= arm.p0).astype(np.int8) + (u_n >= arm.p1).astype(np.int8)
     half = 0.5 * arm.eta
     s1 = np.zeros(n.shape, dtype=bool)
     s2 = np.zeros(n.shape, dtype=bool)
-    for k, col in enumerate(stokes_cols):
+    for k, col in enumerate(arm.cols.stokes):
         exists = n > k
         uu = u[:, col]
         s1 |= exists & (uu < half)
@@ -376,11 +370,11 @@ def _anti_stokes(arm: _Arm, n: np.ndarray, u: np.ndarray, port: float, live=True
     below its emission probability times ``port``. ``live`` masks the
     retrieved photons that click this way; the noise channels always count.
     """
-    *_, rcols, pcols, col_se, col_bg = arm.cols
+    cols = arm.cols
     click = np.zeros(n.shape, dtype=bool)
     for k in range(2):
-        click |= live & (n > k) & (u[:, rcols[k]] < arm.gamma) & (u[:, pcols[k]] < port)
-    for col, emit_prob in ((col_se, arm.se_noise), (col_bg, arm.z_noise)):
+        click |= live & (n > k) & (u[:, cols.retrieve[k]] < arm.gamma) & (u[:, cols.port[k]] < port)
+    for col, emit_prob in ((cols.se, arm.se_noise), (cols.bg, arm.z_noise)):
         click |= u[:, col] < emit_prob * port
     return click
 
@@ -394,9 +388,9 @@ def _fringe_batch(proto: _Protocol, theta: np.ndarray, u: np.ndarray):
     s2 |= s2_b
     heralded_any = s1 | s2
 
-    # Lorentzian field offsets from each arm's field word (cols[2]); one shared draw when wired in series
-    db_a = lorentzian_from_uniform(proto.sigma_b, u[:, a.cols[2]])
-    db_b = db_a if proto.shared_field else lorentzian_from_uniform(proto.sigma_b, u[:, b.cols[2]])
+    # Lorentzian field offsets from each arm's field word; one shared draw when wired in series
+    db_a = lorentzian_from_uniform(proto.sigma_b, u[:, a.cols.field])
+    db_b = db_a if proto.shared_field else lorentzian_from_uniform(proto.sigma_b, u[:, b.cols.field])
     phase = 2.0 * np.pi * proto.time * (a.mu_prime * db_a - b.mu_prime * db_b) + theta
     if proto.jitter_rms > 0.0:
         # imported here: scipy.special costs ~0.2 s to load, paid only by jittered runs
@@ -525,23 +519,19 @@ class CountsRecord:
 
 def merge_counts(a: CountsRecord, b: CountsRecord) -> CountsRecord:
     """Combine two records field by field, by CountsRecord's merge rule."""
-    return _add(a, b)
-
-
-def _add(x, y):
-    if x is None or isinstance(x, list) and not x:  # an absent family counts as empty
-        return copy.copy(y)
-    if y is None or isinstance(y, list) and not y:
-        return copy.copy(x)
-    if isinstance(x, numbers.Integral):
-        return x + y
-    if isinstance(x, float) and x != y or isinstance(x, (list, tuple)) and len(x) != len(y):
+    if a is None or isinstance(a, list) and not a:  # an absent family counts as empty
+        return copy.copy(b)
+    if b is None or isinstance(b, list) and not b:
+        return copy.copy(a)
+    if isinstance(a, numbers.Integral):
+        return a + b
+    if isinstance(a, float) and a != b or isinstance(a, (list, tuple)) and len(a) != len(b):
         raise ValueError("theta grids differ; records cannot be merged")
-    if isinstance(x, float):  # a bin's theta labels its grid: kept, not added
-        return x
-    if isinstance(x, (list, tuple)):
-        return type(x)(map(_add, x, y))
-    return type(x)(**{f.name: _add(getattr(x, f.name), getattr(y, f.name)) for f in fields(x)})
+    if isinstance(a, float):  # a bin's theta labels its grid: kept, not added
+        return a
+    if isinstance(a, (list, tuple)):
+        return type(a)(map(merge_counts, a, b))
+    return type(a)(**{f.name: merge_counts(getattr(a, f.name), getattr(b, f.name)) for f in fields(a)})
 
 
 def default_thetas(n: int = 12) -> np.ndarray:
@@ -562,7 +552,7 @@ def simulate_link_fringe(
     trials_per_theta: int,
     seed: int,
     theta_points: int = 12,
-    chunk_size: int = _DEFAULT_CHUNK,
+    chunk_size: int = _MAX_ROWS,
 ) -> CountsRecord:
     """Fringe-mode run of a two-arm setup over the grid ``default_thetas(theta_points)``.
 
@@ -595,7 +585,7 @@ def simulate_link_fringe(
 
 
 def simulate_link_pairs(
-    setup: LinkConfig, t: float, *, trials: int, seed: int, chunk_size: int = _DEFAULT_CHUNK
+    setup: LinkConfig, t: float, *, trials: int, seed: int, chunk_size: int = _MAX_ROWS
 ) -> CountsRecord:
     """Pair-count-mode run of a two-arm setup (conditional p_ij tallies)."""
     if trials < 1:
@@ -614,7 +604,7 @@ def simulate_link_pairs(
 
 
 def simulate_link_correlation(
-    setup: LinkConfig, t: float, *, trials: int, seed: int, chunk_size: int = _DEFAULT_CHUNK
+    setup: LinkConfig, t: float, *, trials: int, seed: int, chunk_size: int = _MAX_ROWS
 ) -> CountsRecord:
     """Correlation-mode run of a two-arm setup (per-channel g tallies)."""
     if trials < 1:

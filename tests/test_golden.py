@@ -100,6 +100,11 @@ def test_engine_records_match_golden():
     assert record_digests() == json.loads((GOLDEN / "records.json").read_text())
 
 
+def test_golden_files_are_the_cases():
+    # a golden file no case writes, say one orphaned by a rename, would never be compared
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted([*CLI_CASES, "records.json"])
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:

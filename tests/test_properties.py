@@ -3,7 +3,7 @@
 Chunk invariance: the k-th candidate of a run reads block k of its mode's
 stream, its gap, first live screen column and row, whatever kernel call it
 falls in, so any chunk size in [1, total] must give the record of the
-default chunking, and so must runs of several full 2^16-candidate blocks,
+default chunking, and so must runs of several full 2^13-candidate blocks,
 each drawn from a rank offset, against runs of 7001-candidate blocks.
 
 Merging: ``merge_counts`` is commutative and associative with identity
@@ -77,8 +77,9 @@ def test_any_chunk_size_gives_the_default_record(bright_link, default_records, c
 
 def test_records_equal_across_slicing(bright_link):
     # 3 * 2^17 trials per mode, about a third of them candidates at these
-    # chi: 7001-candidate calls against the 2^16-candidate calls that the
-    # default chunk size and 2^20 both cap at, each drawn from a rank offset
+    # chi: 7001-candidate calls against 2^13-candidate calls, at the default
+    # chunk size, which is the block cap, and at 2^20, which the cap binds;
+    # each call drawn from a rank offset
     trials_per_theta = (3 << 17) // THETA_POINTS
     sliced = [records(bright_link, trials_per_theta, **kw) for kw in ({}, {"chunk_size": 1 << 20})]
     assert sliced == [records(bright_link, trials_per_theta, chunk_size=7001)] * 2

@@ -180,7 +180,7 @@ class TestTrialStreams:
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
-            st.trial_uniforms(1, -1, 1)
+            st.trial_uniforms(1, -1, 1, st.STREAM_PAIRS)
 
     @pytest.mark.parametrize("chunk_size", [0, -1])
     def test_nonpositive_chunk_size_rejected(self, plain_link, chunk_size):
@@ -483,45 +483,29 @@ def dense_rows(seed: int, key: int, count: int) -> np.ndarray:
     return philox_words(seed, key, st._ROW_WIDTH * count).reshape(count, st._ROW_WIDTH)
 
 
-def dense_records(setup: LinkConfig, t: float, *, trials_per_theta: int, trials: int, seed: int, thetas: np.ndarray):
-    """Fringe, pair and correlation records from the row kernels applied to every trial.
+def mode_records(setup: LinkConfig, t: float, *, trials_per_theta: int, theta_points: int, trials: int, **kw):
+    """Fringe, pair and correlation records of one setup; kw (seed, chunk_size) goes to every driver."""
+    return (
+        st.simulate_link_fringe(setup, t, trials_per_theta=trials_per_theta, theta_points=theta_points, **kw),
+        st.simulate_link_pairs(setup, t, trials=trials, **kw),
+        st.simulate_link_correlation(setup, t, trials=trials, **kw),
+    )
 
-    The dense driver, one chunk with a full row per trial through the click
-    logic and no candidate screening, is the oracle of the engine's
-    candidate-only drivers. Its words come from keys no mode uses.
+
+def dense_records(setup: LinkConfig, t: float, **kw):
+    """``mode_records`` with every trial a candidate: the dense oracle of the engine's candidate-only drivers.
+
+    Each driver runs as it is, except that ``_tally`` makes one call of its
+    kernels and tallies, on a full row for every trial, with no candidate
+    screening. The rows come from keys no mode uses.
     """
-    proto = st._protocol(setup, t)
-    n_bins = thetas.size
-    total = n_bins * trials_per_theta
-    idx = np.arange(total) // trials_per_theta
-    s1, s2, c1 = st._fringe_batch(proto, thetas[idx], dense_rows(seed, DENSE_KEY + st.STREAM_FRINGE, total))
-    alt = s2 & ~s1
-    her, coin, her_alt, coin_alt = (
-        np.bincount(idx[flags], minlength=n_bins).tolist() for flags in (s1, s1 & c1, alt, alt & c1)
-    )
-    th = thetas.tolist()
-    fringe = st.CountsRecord(
-        n_trials=total,
-        n_heralds=sum(her),
-        n_as1_clicks=int(c1.sum()),
-        theta_bins=list(map(st.ThetaBin, th, coin, her)),
-        theta_bins_alt=list(map(st.ThetaBin, th, coin_alt, her_alt)),
-    )
 
-    heralded, click_a, click_b = st._pair_batch(proto, dense_rows(seed, DENSE_KEY + st.STREAM_PAIRS, trials))
-    n00, n01, n10, n11 = np.bincount(2 * click_a[heralded] + click_b[heralded], minlength=4).tolist()
-    pairs = st.CountsRecord(
-        pair_trials=trials, pair_heralds=n00 + n01 + n10 + n11, pij_counts=st.PairCounts(n00, n01, n10, n11)
-    )
+    def dense_tally(proto, seed, stream, total, chunk_size, part):
+        return part(np.arange(total), dense_rows(seed, DENSE_KEY + stream, total))
 
-    channels = st._correlation_batch(proto, dense_rows(seed, DENSE_KEY + st.STREAM_CORRELATION, trials))
-    correlation = st.CountsRecord(
-        correlation_trials=trials,
-        correlation=tuple(
-            st.ChannelTallies(trials, int(s.sum()), int(a.sum()), int((s & a).sum())) for s, a in channels
-        ),
-    )
-    return fringe, pairs, correlation
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(st, "_tally", dense_tally)
+        return mode_records(setup, t, **kw)
 
 
 def tally_cells(fringe: st.CountsRecord, pairs: st.CountsRecord, correlation: st.CountsRecord) -> dict:
@@ -574,16 +558,12 @@ class TestHeraldFirst:
     @pytest.mark.parametrize("chi_a, chi_b", [(0.0, 0.0), (0.005, 0.005), (0.3, 0.3), (0.002, 0.05)])
     def test_records_equal_dense_oracle(self, chi_a, chi_b, topology, jitter):
         setup = self.link(chi_a, chi_b, topology, jitter)
-        t, seed, thetas = 5e-3, 61, st.default_thetas(12)
-        # at most 7001 candidates per kernel call, so calls end inside theta bins
-        kw = dict(seed=seed, chunk_size=7001)
-        dense = dense_records(setup, t, trials_per_theta=self.PER_THETA, trials=self.TRIALS, seed=seed, thetas=thetas)
+        t = 5e-3
+        runs = dict(trials_per_theta=self.PER_THETA, theta_points=12, trials=self.TRIALS, seed=61)
+        dense = dense_records(setup, t, **runs)
         assert dense[0].n_as1_clicks > 0 and dense[2].correlation[0].n_anti_stokes > 0
-        engine = (
-            st.simulate_link_fringe(setup, t, trials_per_theta=self.PER_THETA, theta_points=thetas.size, **kw),
-            st.simulate_link_pairs(setup, t, trials=self.TRIALS, **kw),
-            st.simulate_link_correlation(setup, t, trials=self.TRIALS, **kw),
-        )
+        # at most 7001 candidates per kernel call, so calls end inside theta bins
+        engine = mode_records(setup, t, chunk_size=7001, **runs)
         cells, oracle = tally_cells(*engine), tally_cells(*dense)
         assert len(cells) == self.TESTS // 16
         p = {name: fisher_exact([[k, n - k], [oracle[name][0], n - oracle[name][0]]]).pvalue
