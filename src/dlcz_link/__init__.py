@@ -28,7 +28,6 @@ from .params import (
     ExponentialEfficiency,
     GaussianAmplitude,
     LinkConfig,
-    MotionBroadeningParams,
     NoiseField,
     Topology,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "ExponentialEfficiency",
     "GaussianAmplitude",
     "LinkConfig",
-    "MotionBroadeningParams",
     "NoiseField",
     "Topology",
     "__version__",

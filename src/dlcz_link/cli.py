@@ -15,8 +15,10 @@ and ``figure`` the required --figure-id.
 
 Exit codes: 0 means the output was written; 1 means it was not, and one
 line on stderr starting ``error:`` names the cause (a bad configuration
-key, a failed fit, an unreadable or unwritable path); 2 is an argparse
-usage error, such as a flag the subcommand does not take.
+key, a failed fit, an unreadable or unwritable path, a figure 8 whose
+field widths would repeat a column label, as every width does under a
+shared supply); 2 is an argparse usage error, such as a flag the
+subcommand does not take.
 """
 
 from __future__ import annotations
@@ -164,7 +166,13 @@ def cmd_figure(cfg: RunConfig, figure_id: str):
         curves = []
         for sigma_b in cfg.sigma_b_list:
             noise = NoiseField(sigma_b=sigma_b, topology=cfg.link.noise.topology)
-            columns.append(_sigma_column_label(noise.sigma_delta))
+            label = _sigma_column_label(noise.sigma_delta)
+            if label in columns:
+                raise ConfigError(
+                    f"figure 8: two field widths give the column {label!r}; "
+                    "sigma_delta is 2 sigma_b, or 0 for every width under a shared supply"
+                )
+            columns.append(label)
             curves.append(model.link_curves(replace(cfg.link, noise=noise), times).concurrence)
         rows = [
             [float(t)] + [float(c[i]) for c in curves] for i, t in enumerate(times)

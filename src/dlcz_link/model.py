@@ -24,13 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import (
-    DecayModel,
-    EnsembleParams,
-    LinkConfig,
-    MotionBroadeningParams,
-    Topology,
-)
+from .params import DecayModel, EnsembleParams, LinkConfig, Topology
 
 ArrayLike = float | np.ndarray
 
@@ -38,32 +32,6 @@ ArrayLike = float | np.ndarray
 def _check_time(t: ArrayLike) -> None:
     if np.any(np.asarray(t) < 0.0):
         raise ValueError("storage time t must be >= 0")
-
-
-def _inverse_or_inf(denominator: float) -> float:
-    return math.inf if denominator == 0.0 else 1.0 / denominator
-
-
-def motion_lifetimes(p: MotionBroadeningParams) -> tuple[float, float, float]:
-    """Dephasing lifetimes (tau_1, tau_2, tau_d) from motion and gradient.
-
-    tau_1 = 1/(delta_k * v_s) is set by thermal motion along the spin-wave
-    wavevector, tau_2 = 1/(2 pi mu' B' l) by the gradient-induced
-    inhomogeneous broadening over the cloud, and the combined Gaussian
-    lifetime is tau_d = tau_1 tau_2 / sqrt(tau_1^2 + tau_2^2). A vanishing
-    broadening channel yields an infinite lifetime, not an error.
-    """
-    tau_1 = _inverse_or_inf(p.delta_k * p.v_s)
-    tau_2 = _inverse_or_inf(2.0 * math.pi * p.mu_prime * p.b_gradient * p.cloud_length)
-    if math.isinf(tau_1) and math.isinf(tau_2):
-        tau_d = math.inf
-    elif math.isinf(tau_1):
-        tau_d = tau_2
-    elif math.isinf(tau_2):
-        tau_d = tau_1
-    else:
-        tau_d = tau_1 * tau_2 / math.hypot(tau_1, tau_2)
-    return tau_1, tau_2, tau_d
 
 
 def amplitude_factor(decay: DecayModel, t: ArrayLike) -> ArrayLike:
@@ -94,7 +62,8 @@ def dephasing_lifetime(mu_prime: float, sigma: float) -> float:
     """
     if mu_prime < 0.0 or sigma < 0.0:
         raise ValueError("mu_prime and sigma must be >= 0")
-    return _inverse_or_inf(2.0 * math.pi * mu_prime * sigma)
+    denominator = 2.0 * math.pi * mu_prime * sigma
+    return math.inf if denominator == 0.0 else 1.0 / denominator
 
 
 def cross_correlation_from_efficiency(

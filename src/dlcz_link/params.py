@@ -14,12 +14,11 @@ Unit conventions, used everywhere in this package:
 * times in seconds,
 * magnetic fields and field widths in Gauss,
 * magnetic sensitivities in Hz/G (so 5 Hz/mG reads as 5000.0),
-* wavevectors in rad/m, lengths in m, speeds in m/s,
 * probabilities and efficiencies dimensionless in [0, 1].
 
 Infinite lifetimes are represented by ``math.inf`` so that limiting cases
-(no gradient, shared supply, clock transition) are exact rather than
-approximated by large floats.
+(shared supply, clock transition) are exact rather than approximated by
+large floats.
 """
 
 from __future__ import annotations
@@ -54,27 +53,6 @@ def _check_probability(name: str, value: float) -> None:
 def _check_nonnegative(name: str, value: float) -> None:
     if not value >= 0.0:
         raise ValueError(f"{name}: expected a value >= 0, got {value}")
-
-
-@dataclass(frozen=True)
-class MotionBroadeningParams:
-    """Inputs of the two inhomogeneous dephasing channels of a stored spin wave.
-
-    ``delta_k`` is the spin-wave wavevector magnitude (write minus Stokes),
-    ``v_s`` the RMS atomic speed along the spin-wave axis, ``cloud_length``
-    the RMS cloud length, ``b_gradient`` the magnetic-field gradient along z
-    and ``mu_prime`` the sensitivity of the storage transition.
-    """
-
-    delta_k: float = 0.0  # rad/m
-    v_s: float = 0.0  # m/s
-    cloud_length: float = 0.0  # m
-    b_gradient: float = 0.0  # G/m
-    mu_prime: float = 0.0  # Hz/G
-
-    def __post_init__(self) -> None:
-        for name in ("delta_k", "v_s", "cloud_length", "b_gradient", "mu_prime"):
-            _check_nonnegative(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -115,8 +93,7 @@ class ExponentialEfficiency(_DecayLaw):
     power = 1
 
 
-#: One of the two decay laws accepted by the model operations; motion and
-#: gradient dephasing is ``GaussianAmplitude(model.motion_lifetimes(p)[2])``.
+#: One of the two decay laws accepted by the model operations.
 DecayModel = GaussianAmplitude | ExponentialEfficiency
 
 #: Configuration name -> decay law, the one list of the laws.

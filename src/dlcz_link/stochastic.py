@@ -39,7 +39,8 @@ Three measurement modes mirror the three detector configurations of the
 experiment, one ``simulate_link_*`` function each:
 
 * fringe mode - both Stokes and anti-Stokes outputs mixed on beam
-  splitters; conditional coincidences versus the scanned phase give V;
+  splitters; conditional coincidences versus the scanned phase (the
+  ``_thetas`` grid) give V;
 * pair-count mode - Stokes mixed (heralding), anti-Stokes per channel;
   conditional two-channel tallies give p_ij;
 * correlation mode - nothing mixed; per-channel singles and coincidences
@@ -49,11 +50,11 @@ Each takes one two-arm :class:`~dlcz_link.params.LinkConfig`, whose arms
 are two nodes or two modes of one cloud, and evaluates each arm once per
 run into one ``_Arm``: its physics at the storage time, the thresholds of
 its pair number and its word columns, which is all a kernel reads of an
-arm. The stochastic phase is
-2 pi t (mu'_a dB_a - mu'_b dB_b) with Lorentzian field samples of width
-sigma_b: independent per arm for independent supplies (the coherence
-decays with tau_0 = 1/(2 pi (mu'_a + mu'_b) sigma_b)), one shared sample
-for a shared supply or one ensemble (tau_0 = 1/(2 pi |mu'_a - mu'_b| sigma_b)).
+arm. The stochastic phase is 2 pi t (mu'_a dB_a - mu'_b dB_b) with
+Lorentzian field samples (``_lorentzian``) of width sigma_b: independent
+per arm for independent supplies (the coherence decays with
+tau_0 = 1/(2 pi (mu'_a + mu'_b) sigma_b)), one shared sample for a shared
+supply or one ensemble (tau_0 = 1/(2 pi |mu'_a - mu'_b| sigma_b)).
 
 Only the heralded single-excitation component interferes coherently;
 multi-pair components, retrieval noise and backgrounds pick beam-splitter
@@ -91,7 +92,6 @@ __all__ = [
     "CorrelationEstimate",
     "CountsStatistics",
     "trial_uniforms",
-    "lorentzian_from_uniform",
     "simulate_link_fringe",
     "simulate_link_pairs",
     "simulate_link_correlation",
@@ -99,7 +99,6 @@ __all__ = [
     "estimate_visibility",
     "estimate_cross_correlation",
     "estimate_statistics",
-    "default_thetas",
 ]
 
 #: Words per candidate: its gap, its first live screen column and its row,
@@ -127,7 +126,6 @@ _ARM_COLS = (
 )
 _COL_COHERENT = 8
 _COL_JITTER = 21
-_ROW_WIDTH = 22
 # the screen columns, in the order of the first-live-column law
 _SCREEN_COLS = tuple(getattr(cols, name) for name in ("n", "se", "bg") for cols in _ARM_COLS)
 # a candidate's block: gap word, first-live-column word, then its row
@@ -336,14 +334,13 @@ def _protocol(setup: LinkConfig, t: float, *, shared_detectors: bool = False) ->
 # vectorized trial kernels
 
 
-def lorentzian_from_uniform(sigma: float, u: np.ndarray) -> np.ndarray:
+def _lorentzian(sigma: float, u: np.ndarray) -> np.ndarray:
     """Quantile transform: sigma * tan(pi (u - 1/2)) for u uniform in (0, 1).
 
     Samples are never truncated: downstream use is through bounded
-    trigonometric functions, so the heavy tails are harmless.
+    trigonometric functions, so the heavy tails are harmless. The width is
+    a :class:`~dlcz_link.params.NoiseField`'s, which rejects negative ones.
     """
-    if sigma < 0.0:
-        raise ValueError("sigma must be >= 0")
     return sigma * np.tan(np.pi * (u - 0.5))
 
 
@@ -389,8 +386,8 @@ def _fringe_batch(proto: _Protocol, theta: np.ndarray, u: np.ndarray):
     heralded_any = s1 | s2
 
     # Lorentzian field offsets from each arm's field word; one shared draw when wired in series
-    db_a = lorentzian_from_uniform(proto.sigma_b, u[:, a.cols.field])
-    db_b = db_a if proto.shared_field else lorentzian_from_uniform(proto.sigma_b, u[:, b.cols.field])
+    db_a = _lorentzian(proto.sigma_b, u[:, a.cols.field])
+    db_b = db_a if proto.shared_field else _lorentzian(proto.sigma_b, u[:, b.cols.field])
     phase = 2.0 * np.pi * proto.time * (a.mu_prime * db_a - b.mu_prime * db_b) + theta
     if proto.jitter_rms > 0.0:
         # imported here: scipy.special costs ~0.2 s to load, paid only by jittered runs
@@ -534,7 +531,7 @@ def merge_counts(a: CountsRecord, b: CountsRecord) -> CountsRecord:
     return type(a)(**{f.name: merge_counts(getattr(a, f.name), getattr(b, f.name)) for f in fields(a)})
 
 
-def default_thetas(n: int = 12) -> np.ndarray:
+def _thetas(n: int) -> np.ndarray:
     """n equally spaced fringe phases over [0, 2 pi)."""
     if n < 1:
         raise ValueError("need at least one theta bin")
@@ -554,14 +551,14 @@ def simulate_link_fringe(
     theta_points: int = 12,
     chunk_size: int = _MAX_ROWS,
 ) -> CountsRecord:
-    """Fringe-mode run of a two-arm setup over the grid ``default_thetas(theta_points)``.
+    """Fringe-mode run of a two-arm setup over the grid ``_thetas(theta_points)``.
 
     Trials [i trials_per_theta, (i + 1) trials_per_theta) scan bin i.
     """
     if trials_per_theta < 1:
         raise ValueError("trials_per_theta must be >= 1")
     proto = _protocol(setup, t, shared_detectors=True)
-    thetas = default_thetas(theta_points)
+    thetas = _thetas(theta_points)
     total = theta_points * trials_per_theta
 
     def part(trials: np.ndarray, u: np.ndarray) -> np.ndarray:

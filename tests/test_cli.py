@@ -138,6 +138,17 @@ class TestFigure:
             "c_sigma_delta_0mG",
         ]
 
+    def test_figure8_refuses_repeated_columns_under_shared_supply(self, tmp_path, capsys):
+        # every sigma_delta is 0 on one supply, so the four widths would share one label
+        cfg = write_config(tmp_path, {"link": {"topology": "shared"}})
+        out = tmp_path / "fig8.csv"
+        assert run_cli(["figure", "--figure-id", "8", "--config", cfg, "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: figure 8: two field widths give the column 'c_sigma_delta_0mG'; "
+            "sigma_delta is 2 sigma_b, or 0 for every width under a shared supply\n"
+        )
+        assert not out.exists()
+
     def test_s1_zero_delay_values(self, tmp_path):
         out = tmp_path / "s1.csv"
         run_cli(["figure", "--figure-id", "S1", "--output", str(out)])

@@ -18,7 +18,6 @@ from dlcz_link import (
     ExponentialEfficiency,
     GaussianAmplitude,
     LinkConfig,
-    MotionBroadeningParams,
     NoiseField,
     Topology,
 )
@@ -33,58 +32,13 @@ from oracles import (
 )
 
 
-class TestMotionLifetimes:
-    def test_motion_only(self):
-        p = MotionBroadeningParams(delta_k=1e5, v_s=0.1)
-        tau_1, tau_2, tau_d = model.motion_lifetimes(p)
-        assert tau_1 == pytest.approx(100e-6, rel=1e-12)
-        assert math.isinf(tau_2)
-        assert tau_d == pytest.approx(100e-6, rel=1e-12)
-
-    def test_no_motion(self):
-        p = MotionBroadeningParams(delta_k=0.0, v_s=0.3, mu_prime=1.4e6, b_gradient=1e-3, cloud_length=2.5e-3)
-        tau_1, tau_2, tau_d = model.motion_lifetimes(p)
-        assert math.isinf(tau_1)
-        assert tau_d == tau_2
-
-    def test_gradient_lifetime_value(self):
-        p = MotionBroadeningParams(mu_prime=1.4e6, b_gradient=1e-3, cloud_length=2.5e-3)
-        _, tau_2, _ = model.motion_lifetimes(p)
-        assert tau_2 == pytest.approx(1.0 / (2.0 * math.pi * 3.5), rel=1e-12)  # ~45.5 ms
-
-    def test_all_channels_off(self):
-        tau_1, tau_2, tau_d = model.motion_lifetimes(MotionBroadeningParams())
-        assert math.isinf(tau_1) and math.isinf(tau_2) and math.isinf(tau_d)
-
-    def test_combination_rule(self):
-        p = MotionBroadeningParams(delta_k=2e5, v_s=0.05, mu_prime=1.4e6, b_gradient=2e-3, cloud_length=1e-3)
-        tau_1, tau_2, tau_d = model.motion_lifetimes(p)
-        assert tau_d == pytest.approx(tau_1 * tau_2 / math.hypot(tau_1, tau_2), rel=1e-12)
-
-    def test_quadrature_oracle_for_motion_amplitude(self):
-        # |integral f(v) e^{-i dk v t} dv| over a Maxwell-Boltzmann 1-d
-        # velocity density must reproduce the amplitude factor
-        delta_k, v_s = 1e5, 0.1
-        p = MotionBroadeningParams(delta_k=delta_k, v_s=v_s)
-        decay = GaussianAmplitude(model.motion_lifetimes(p)[2])
-        for t in (2e-5, 1e-4, 2e-4):
-            norm = 1.0 / (math.sqrt(2.0 * math.pi) * v_s)
-            real, _ = quad(
-                lambda v: norm * math.exp(-(v**2) / (2 * v_s**2)) * math.cos(delta_k * v * t),
-                -np.inf,
-                np.inf,
-                epsabs=1e-12,
-            )
-            assert float(model.amplitude_factor(decay, t)) == pytest.approx(real, abs=1e-9)
-
-
 class TestAmplitudeFactor:
     @pytest.mark.parametrize(
         "decay",
         [
             GaussianAmplitude(1e-3),
             ExponentialEfficiency(0.410),
-            GaussianAmplitude(model.motion_lifetimes(MotionBroadeningParams(delta_k=1e5, v_s=0.1))[2]),
+            GaussianAmplitude(1e-4),
         ],
     )
     def test_identity_at_zero(self, decay):
@@ -95,16 +49,21 @@ class TestAmplitudeFactor:
             math.exp(-0.5), rel=1e-12
         )
 
-    def test_motion_equals_gaussian_with_combined_lifetime(self):
-        # equal channel lifetimes tau: the product law e^{-t^2/tau^2} of motion and
-        # gradient is the Gaussian of the combined lifetime tau/sqrt(2)
-        tau = 2e-4
-        p = MotionBroadeningParams(delta_k=1e4, v_s=1.0 / (1e4 * tau), mu_prime=1e6, b_gradient=1e-3,
-                                   cloud_length=1.0 / (2 * math.pi * 1e6 * 1e-3 * tau))
-        t = np.array([0.0, 5e-5, 2e-4, 6e-4])
-        combined = model.amplitude_factor(GaussianAmplitude(tau / math.sqrt(2.0)), t)
-        motion = GaussianAmplitude(model.motion_lifetimes(p)[2])
-        np.testing.assert_allclose(model.amplitude_factor(motion, t), combined, rtol=1e-9)
+    def test_gaussian_matches_maxwell_boltzmann_quadrature(self):
+        # thermal motion along the spin-wave wavevector: |integral f(v)
+        # e^{-i dk v t} dv| over a Maxwell-Boltzmann 1-d velocity density is
+        # the Gaussian amplitude of lifetime 1/(dk v_s) = 1e-4 s
+        delta_k, v_s = 1e5, 0.1
+        decay = GaussianAmplitude(1e-4)
+        for t in (2e-5, 1e-4, 2e-4):
+            norm = 1.0 / (math.sqrt(2.0 * math.pi) * v_s)
+            real, _ = quad(
+                lambda v: norm * math.exp(-(v**2) / (2 * v_s**2)) * math.cos(delta_k * v * t),
+                -np.inf,
+                np.inf,
+                epsabs=1e-12,
+            )
+            assert float(model.amplitude_factor(decay, t)) == pytest.approx(real, abs=1e-9)
 
     def test_exponential_matches_efficiency_law(self):
         d = ExponentialEfficiency(0.2)
@@ -115,9 +74,7 @@ class TestAmplitudeFactor:
         with pytest.raises(ValueError):
             model.amplitude_factor(GaussianAmplitude(1e-3), -1e-6)
 
-    @pytest.mark.parametrize(
-        "decay", [0.41, "exponential", SimpleNamespace(tau_d=0.41, power=1), MotionBroadeningParams()]
-    )
+    @pytest.mark.parametrize("decay", [0.41, "exponential", SimpleNamespace(tau_d=0.41, power=1)])
     def test_non_decay_law_rejected(self, decay):
         with pytest.raises(TypeError, match="unknown decay model"):
             model.amplitude_factor(decay, 1e-3)
@@ -141,7 +98,7 @@ class TestRetrievalEfficiency:
         [
             GaussianAmplitude(7e-4),
             ExponentialEfficiency(3e-3),
-            GaussianAmplitude(model.motion_lifetimes(MotionBroadeningParams(delta_k=1e5, v_s=0.2))[2]),
+            GaussianAmplitude(5e-5),
         ],
     )
     def test_square_of_amplitude(self, decay):

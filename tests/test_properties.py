@@ -11,10 +11,12 @@ Merging: ``merge_counts`` is commutative and associative with identity
 inputs' tallies, and grids whose thetas differ are rejected.
 
 Fuzzed configs: whatever a config file holds, a closed-form subcommand
-exits 0, or exits 1 with an ``error:`` line, and never with a traceback.
+exits 0, or exits 1 with an ``error:`` line, and never with a traceback;
+a header it writes to stdout names no column twice.
 """
 
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -85,7 +87,7 @@ def test_records_equal_across_slicing(bright_link):
     assert sliced == [records(bright_link, trials_per_theta, chunk_size=7001)] * 2
 
 
-GRID = st.default_thetas(4).tolist()
+GRID = st._thetas(4).tolist()
 TALLY = hs.integers(min_value=0, max_value=50)
 
 
@@ -219,6 +221,7 @@ def workdir(tmp_path_factory):
 @example(doc={"single_ensemble": {"xi_se": 0}})
 @example(doc={"single_ensemble": {"gamma_0_mfi": 0}})
 @example(doc={"link": {"residual_phase_jitter": 1e200}})
+@example(doc={"link": {"topology": "shared"}})
 def test_fuzzed_config_exits_0_or_1_with_error(workdir, doc):
     path = workdir / "config.json"
     path.write_text(json.dumps(doc))
@@ -226,11 +229,14 @@ def test_fuzzed_config_exits_0_or_1_with_error(workdir, doc):
     os.chdir(workdir)
     try:
         for command in COMMANDS:
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main([*command, "--config", str(path)])
             assert code in (0, 1), (command, doc)
             if code == 1:
                 assert err.getvalue().startswith("error:"), (command, doc, err.getvalue())
+            elif text := out.getvalue():
+                header = json.loads(text)["columns"] if text.startswith("{") else next(csv.reader(io.StringIO(text)))
+                assert len(set(header)) == len(header), (command, doc, header)
     finally:
         os.chdir(cwd)

@@ -196,17 +196,17 @@ class TestTrialStreams:
 class TestLorentzianSampling:
     def test_zero_width(self):
         u = philox_words(1, FREE_STREAM, 100)
-        np.testing.assert_array_equal(st.lorentzian_from_uniform(0.0, u), np.zeros(100))
+        np.testing.assert_array_equal(st._lorentzian(0.0, u), np.zeros(100))
 
     def test_quantile_at_three_quarters(self):
         # tan(pi/4) = 1, so u = 0.75 maps to sigma itself
-        np.testing.assert_allclose(st.lorentzian_from_uniform(2.5e-3, np.array([0.75])), [2.5e-3], rtol=1e-12)
+        np.testing.assert_allclose(st._lorentzian(2.5e-3, np.array([0.75])), [2.5e-3], rtol=1e-12)
 
     def test_median_absolute_value(self):
         # half of all draws fall within one width of zero (Cauchy CDF)
         sigma = 3e-3
         u = philox_words(2024, FREE_STREAM, 1_000_000)
-        frac = float(np.mean(np.abs(st.lorentzian_from_uniform(sigma, u)) <= sigma))
+        frac = float(np.mean(np.abs(st._lorentzian(sigma, u)) <= sigma))
         assert frac == pytest.approx(0.5, abs=2e-3)
 
 
@@ -239,8 +239,8 @@ class TestLinkPhases:
         # of two node fields is Lorentzian with twice the width
         tau_0 = model.link_curves(plain_link, 0.0).tau_0
         u = philox_words(31, FREE_STREAM, 200_000).reshape(-1, 2)
-        db_l = st.lorentzian_from_uniform(1e-3, u[:, 0])
-        db_r = st.lorentzian_from_uniform(1e-3, u[:, 1])
+        db_l = st._lorentzian(1e-3, u[:, 0])
+        db_r = st._lorentzian(1e-3, u[:, 1])
         vals = np.cos(2.0 * np.pi * 5000.0 * (db_l - db_r) * tau_0)
         se = float(vals.std() / math.sqrt(vals.size))
         assert_within_se(float(vals.mean()), math.exp(-1.0), se)
@@ -480,7 +480,8 @@ class TestBenchmarkSurface:
 
 def dense_rows(seed: int, key: int, count: int) -> np.ndarray:
     """Full rows of trials [0, count): every trial's 22 words, straight from the raw Philox stream of ``key``."""
-    return philox_words(seed, key, st._ROW_WIDTH * count).reshape(count, st._ROW_WIDTH)
+    width = st.WORDS_PER_TRIAL - 2  # a row is words 2-23 of a candidate's block
+    return philox_words(seed, key, width * count).reshape(count, width)
 
 
 def mode_records(setup: LinkConfig, t: float, *, trials_per_theta: int, theta_points: int, trials: int, **kw):
@@ -605,7 +606,7 @@ class TestClickThresholds:
     @staticmethod
     def rows(cells: list[dict[int, float]]) -> np.ndarray:
         """One row per {column: uniform}; every other word clicks nothing and both arms hold no pair."""
-        u = np.full((len(cells), st._ROW_WIDTH), 0.99)
+        u = np.full((len(cells), st.WORDS_PER_TRIAL - 2), 0.99)  # words 2-23 of a block
         u[:, [0, 1]] = 0.0
         for row, cell in zip(u, cells):
             row[list(cell)] = list(cell.values())
@@ -717,7 +718,7 @@ class TestSingleEnsembleTrial:
 class TestEstimators:
     @staticmethod
     def synthetic_record(v: float, n_per_bin: int = 10**14, offset: float = 0.25) -> st.CountsRecord:
-        thetas = st.default_thetas(12)
+        thetas = st._thetas(12)
         bins = []
         for th in thetas:
             rate = offset * (1.0 + v * math.cos(th))
@@ -746,7 +747,7 @@ class TestEstimators:
 
     @staticmethod
     def record_with_empty_bin() -> st.CountsRecord:
-        bins = [st.ThetaBin(float(th), 0, 1 if i else 0) for i, th in enumerate(st.default_thetas(12))]
+        bins = [st.ThetaBin(float(th), 0, 1 if i else 0) for i, th in enumerate(st._thetas(12))]
         return st.CountsRecord(n_trials=11, n_heralds=11, theta_bins=bins)
 
     def test_empty_bin_rejected(self):
@@ -804,7 +805,7 @@ class TestPhaseAverage:
         mu, sigma = 5000.0, 2e-3
         t = 1.0 / (2.0 * math.pi * mu * sigma)
         u = philox_words(5, FREE_STREAM, 1_000_000)
-        vals = np.cos(2.0 * np.pi * mu * st.lorentzian_from_uniform(sigma, u) * t)
+        vals = np.cos(2.0 * np.pi * mu * st._lorentzian(sigma, u) * t)
         se = float(vals.std() / math.sqrt(vals.size))
         assert_within_se(float(vals.mean()), math.exp(-1.0), se)
 
