@@ -5,7 +5,8 @@ the CSV of every closed-form subcommand on the default configuration, the
 closed-form outputs that read the decay law under the Gaussian law, the
 CSV and JSON of ``mc`` on a small configuration, and a sha256 digest of
 each engine record (fringe, pair and correlation mode) for the default
-link and the two single-ensemble mode pairings.
+link, a jittered link, a link at chi = 30% where double pairs are common,
+and the two single-ensemble mode pairings.
 
 After a deliberate output change, rewrite the golden files with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -75,6 +76,9 @@ def cli_output(name: str, workdir: Path) -> bytes:
 def record_digests() -> dict[str, str]:
     setups = {
         "link": (config_from_dict({"link": BRIGHT}).link, 0.01),
+        # the Gaussian phase jitter, and the two-pair rows of both arms
+        "jittered": (config_from_dict({"link": {**BRIGHT, "residual_phase_jitter": 0.3}}).link, 0.01),
+        "bright": (config_from_dict({"link": {**BRIGHT, "chi": 0.3}}).link, 0.01),
         "mixed": (config_from_dict({"single_ensemble": BRIGHT}).mode_pair, 30e-6),
         "matched": (config_from_dict({"single_ensemble": MATCHED}).mode_pair, 30e-6),
     }
@@ -96,6 +100,8 @@ def test_cli_output_matches_golden(name, tmp_path):
     assert cli_output(name, tmp_path) == (GOLDEN / name).read_bytes()
 
 
+# the bright link leaves the closed form's chi << 1 regime on purpose
+@pytest.mark.filterwarnings("ignore:chi = .* is outside:UserWarning")
 def test_engine_records_match_golden():
     assert record_digests() == json.loads((GOLDEN / "records.json").read_text())
 
