@@ -203,13 +203,19 @@ class _ScreenLaw:
         Screen word j is rewritten only in the rows whose first live column
         J is at least j: past J its region is [0, 1), where 0 + u 1 is u and
         the guard 1 - 2^-53 never binds, so the drawn word is its own image.
+        Words 0 and 1 are rewritten as whole columns for that reason, and
+        words 2-5 on the rows with J >= 2 alone.
         """
         # u q at or above q would pick a column past the last one of positive weight
         u = np.minimum(block[:, _WORD_FIRST] * self.q, np.nextafter(self.q, 0.0))
         # J counts cum[:-1] at or below u, which is searchsorted(cum, u, "right") as u <= nextafter(q, 0) < q = cum[-1]
-        first = np.sum([u >= c for c in self.cum[:-1]], axis=0, dtype=np.intp)
+        first = np.zeros(len(u), dtype=np.uint8)
+        for c in self.cum[:-1]:
+            first += (u >= c).view(np.uint8)
+        first = first.astype(np.intp)
+        late = np.flatnonzero(first >= 2)
         for j, col in enumerate(_BLOCK_SCREENS):
-            rows = np.flatnonzero(first >= j) if j else slice(None)
+            rows = late if j >= 2 else slice(None)
             at, words = first[rows], block[:, col]  # words: a view of the column, written in place
             # 1-D gathers from column j's tables; the guard keeps a product rounded up to hi inside [lo, hi)
             words[rows] = np.minimum(self.lo[:, j][at] + words[rows] * self.width[:, j][at], self.guard[:, j][at])
@@ -230,8 +236,9 @@ def _screen_law(proto: _Protocol) -> _ScreenLaw:
     cum = np.cumsum(width * np.cumprod(np.concatenate(([1.0], 1.0 - width[:-1]))))
     first, j = np.indices((len(_SCREEN_COLS),) * 2)  # [J, j]: screen word j when J is the first live one
     region = np.where((j < first)[..., None], dead, np.where((j == first)[..., None], live, [0.0, 1.0]))
-    lo, hi = region[..., 0], region[..., 1]
-    return _ScreenLaw(float(cum[-1]), cum, lo, hi, hi - lo, np.nextafter(hi, lo))
+    # column-major, so that each screen word's tables are contiguous: a gather from a strided table costs twice as much
+    lo, hi = np.asfortranarray(region[..., 0]), np.asfortranarray(region[..., 1])
+    return _ScreenLaw(float(cum[-1]), cum, lo, hi, np.asfortranarray(hi - lo), np.asfortranarray(np.nextafter(hi, lo)))
 
 
 def _tally(
@@ -344,97 +351,113 @@ def _lorentzian(sigma: float, u: np.ndarray) -> np.ndarray:
     return sigma * np.tan(np.pi * (u - 0.5))
 
 
-def _stokes_side(arm: _Arm, u: np.ndarray):
-    """One arm's pair number and its Stokes clicks at the two ports of the 50/50 splitter (threshold detectors)."""
+def _slots(arm: _Arm, u: np.ndarray):
+    """One arm's filled pair slots: slot 0 holds a pair when n > 0, slot 1 when n > 1.
+
+    n > 0 is its pair-number word at or above P(n = 0), and n > 1 the word
+    at or above P(n <= 1); as P(n <= 1) >= P(n = 0), slot 1 is filled only
+    with slot 0.
+    """
     u_n = u[:, arm.cols.n]
-    n = (u_n >= arm.p0).astype(np.int8) + (u_n >= arm.p1).astype(np.int8)
-    half = 0.5 * arm.eta
-    s1 = np.zeros(n.shape, dtype=bool)
-    s2 = np.zeros(n.shape, dtype=bool)
-    for k, col in enumerate(arm.cols.stokes):
-        exists = n > k
-        uu = u[:, col]
-        s1 |= exists & (uu < half)
-        s2 |= exists & (uu >= half) & (uu < arm.eta)
-    return n, s1, s2
+    return u_n >= arm.p0, u_n >= arm.p1
 
 
-def _anti_stokes(arm: _Arm, n: np.ndarray, u: np.ndarray, port: float, live=True):
+def _stokes(arm: _Arm, slots, u: np.ndarray, hi: float, lo: float = 0.0) -> np.ndarray:
+    """Whether a filled slot's Stokes word lies in [lo, hi): a click at the port of that range (threshold detectors).
+
+    Behind the 50/50 splitter port 1 is [0, eta/2) and port 2 [eta/2, eta);
+    unmixed, the arm's one detector is [0, eta).
+    """
+    click = np.zeros(len(u), dtype=bool)
+    for filled, col in zip(slots, arm.cols.stokes):
+        w = u[:, col]
+        hit = filled & (w < hi)
+        if lo:
+            hit &= w >= lo
+        click |= hit
+    return click
+
+
+def _anti_stokes(arm: _Arm, slots, u: np.ndarray, port: float) -> np.ndarray:
     """One arm's anti-Stokes clicks through a detector port of probability ``port`` (eta, or eta/2 mixed).
 
-    A retrieved photon (per pair, retrieval uniform below gamma) clicks when
-    its port uniform is below ``port``, a noise photon when its uniform is
-    below its emission probability times ``port``. ``live`` masks the
-    retrieved photons that click this way; the noise channels always count.
+    A retrieved photon (per filled slot, retrieval uniform below gamma)
+    clicks when its port uniform is below ``port``, a noise photon when its
+    uniform is below its emission probability times ``port``. ``slots``
+    are the slots whose retrieved photons click this way; the noise
+    channels always count.
     """
     cols = arm.cols
-    click = np.zeros(n.shape, dtype=bool)
-    for k in range(2):
-        click |= live & (n > k) & (u[:, cols.retrieve[k]] < arm.gamma) & (u[:, cols.port[k]] < port)
-    for col, emit_prob in ((cols.se, arm.se_noise), (cols.bg, arm.z_noise)):
-        click |= u[:, col] < emit_prob * port
+    click = (u[:, cols.se] < arm.se_noise * port) | (u[:, cols.bg] < arm.z_noise * port)
+    for filled, retrieve, col in zip(slots, cols.retrieve, cols.port):
+        click |= filled & (u[:, retrieve] < arm.gamma) & (u[:, col] < port)
     return click
 
 
 def _fringe_batch(proto: _Protocol, theta: np.ndarray, u: np.ndarray):
-    """Interference-mode trials; returns the Stokes port flags and D_aS1 clicks."""
+    """Interference-mode trials; returns the Stokes port flags and D_aS1 clicks.
+
+    The fringe phase, and with it the Lorentzian fields, the jitter and the
+    cosine, is evaluated on the coherent rows alone, from their own words.
+    """
     a, b = proto.arms
     eta = a.eta  # equal in both arms, checked once per run by _protocol
-    (n_a, s1, s2), (n_b, s1_b, s2_b) = (_stokes_side(arm, u) for arm in proto.arms)
-    s1 |= s1_b
-    s2 |= s2_b
-    heralded_any = s1 | s2
+    half = 0.5 * eta
+    slots = [_slots(arm, u) for arm in proto.arms]
+    s1 = _stokes(a, slots[0], u, half) | _stokes(b, slots[1], u, half)
+    s2 = _stokes(a, slots[0], u, eta, half) | _stokes(b, slots[1], u, eta, half)
+
+    # only a heralded single excitation is projected onto the two-arm
+    # superposition and interferes with itself; an unheralded one sits in a
+    # definite arm and splits incoherently like every other photon. One pair
+    # in all (n_a + n_b = 1) is slot 0 filled in exactly one arm and slot 1 in none.
+    (e0_a, e1_a), (e0_b, e1_b) = slots
+    coherent = (s1 | s2) & (e0_a ^ e0_b) & ~(e1_a | e1_b)
+    rows = np.flatnonzero(coherent)
 
     # Lorentzian field offsets from each arm's field word; one shared draw when wired in series
-    db_a = _lorentzian(proto.sigma_b, u[:, a.cols.field])
-    db_b = db_a if proto.shared_field else _lorentzian(proto.sigma_b, u[:, b.cols.field])
-    phase = 2.0 * np.pi * proto.time * (a.mu_prime * db_a - b.mu_prime * db_b) + theta
+    db_a = _lorentzian(proto.sigma_b, u[:, a.cols.field][rows])
+    db_b = db_a if proto.shared_field else _lorentzian(proto.sigma_b, u[:, b.cols.field][rows])
+    phase = 2.0 * np.pi * proto.time * (a.mu_prime * db_a - b.mu_prime * db_b) + theta[rows]
     if proto.jitter_rms > 0.0:
         # imported here: scipy.special costs ~0.2 s to load, paid only by jittered runs
         from scipy.special import ndtri
 
-        phase = phase + proto.jitter_rms * ndtri(u[:, _COL_JITTER])
+        phase = phase + proto.jitter_rms * ndtri(u[:, _COL_JITTER][rows])
 
-    total = n_a + n_b
-    # only a heralded single excitation is projected onto the two-arm
-    # superposition and interferes with itself; an unheralded one sits in a
-    # definite arm and splits incoherently like every other photon
-    coherent = heralded_any & (total == 1)
-    incoherent = ~coherent
-    sign = np.where(s1, 1.0, -1.0)
+    sign = np.where(s1[rows], 1.0, -1.0)
     w_a = a.chi * a.gamma
     w_b = b.chi * b.gamma
     w_sum = max(a.chi + b.chi, np.finfo(float).tiny)
     base = w_a + w_b
     cross = 2.0 * proto.contrast * math.sqrt(w_a * w_b)
     p1 = eta * (base + sign * cross * np.cos(phase)) / (2.0 * w_sum)
-    click1 = coherent & (u[:, _COL_COHERENT] < p1)
 
-    # every other retrieved photon, and every noise photon, picks a port at random
-    for arm, n in zip(proto.arms, (n_a, n_b)):
-        click1 |= _anti_stokes(arm, n, u, 0.5 * eta, incoherent)
+    # every other retrieved photon, and every noise photon, picks a port at
+    # random; a coherent row holds no second pair, so only slot 0 is masked
+    click1 = _anti_stokes(a, (e0_a & ~coherent, e1_a), u, half) | _anti_stokes(b, (e0_b & ~coherent, e1_b), u, half)
+    click1[rows] |= u[:, _COL_COHERENT][rows] < p1
     return s1, s2, click1
 
 
-def _unmixed(proto: _Protocol, u: np.ndarray):
-    """Per arm, no output mixing: its two Stokes port clicks and its anti-Stokes click."""
-    out = []
-    for arm in proto.arms:
-        n, s1, s2 = _stokes_side(arm, u)
-        out.append((s1, s2, _anti_stokes(arm, n, u, arm.eta)))
-    return out
-
-
 def _pair_batch(proto: _Protocol, u: np.ndarray):
-    """Pair-count mode: mixed Stokes herald, per-channel anti-Stokes clicks."""
-    (s1_a, _, click_a), (s1_b, _, click_b) = _unmixed(proto, u)
-    return s1_a | s1_b, click_a, click_b
+    """Pair-count mode: mixed Stokes herald (D_S1 alone), per-channel anti-Stokes clicks."""
+    herald, clicks = False, []
+    for arm in proto.arms:
+        slots = _slots(arm, u)
+        herald = herald | _stokes(arm, slots, u, 0.5 * arm.eta)
+        clicks.append(_anti_stokes(arm, slots, u, arm.eta))
+    return herald, *clicks
 
 
 def _correlation_batch(proto: _Protocol, u: np.ndarray):
     """Correlation mode: per-channel Stokes and anti-Stokes clicks."""
-    # unmixed, a channel's Stokes click is either port's: u < eta
-    return [(s1 | s2, click) for s1, s2, click in _unmixed(proto, u)]
+    out = []
+    for arm in proto.arms:
+        slots = _slots(arm, u)
+        # unmixed, a channel's Stokes click is either port's: u < eta
+        out.append((_stokes(arm, slots, u, arm.eta), _anti_stokes(arm, slots, u, arm.eta)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -564,13 +587,17 @@ def simulate_link_fringe(
     def part(trials: np.ndarray, u: np.ndarray) -> np.ndarray:
         idx = trials // trials_per_theta
         s1, s2, c1 = _fringe_batch(proto, thetas[idx], u)
-        # D_S2-only heralds give the phase-flipped fringe; kept disjoint from
-        # the primary D_S1 tallies so the two estimates are independent
-        alt = s2 & ~s1
-        return np.array([np.bincount(idx[f], minlength=theta_points) for f in (s1, s1 & c1, alt, alt & c1, c1)])
+        # cell 4 s1 + 2 s2 + c1 of the row's bin
+        cell = (s1.view(np.uint8) << 2) | (s2.view(np.uint8) << 1) | c1.view(np.uint8)
+        return np.bincount(idx * 8 + cell, minlength=8 * theta_points)
 
-    # per bin: D_S1 heralds, their coincidences, D_S2-only heralds, theirs, all D_aS1 clicks
-    her, coin, her_alt, coin_alt, as1 = _tally(proto, seed, STREAM_FRINGE, total, chunk_size, part).tolist()
+    cells = _tally(proto, seed, STREAM_FRINGE, total, chunk_size, part).reshape(theta_points, 8)
+    # per bin: D_S1 heralds and their coincidences; D_S2-only heralds, kept
+    # disjoint from the primary D_S1 tallies so that the two estimates are
+    # independent (the phase-flipped fringe), and theirs; all D_aS1 clicks
+    her, coin, her_alt, coin_alt, as1 = (
+        cells[:, sel].sum(axis=1).tolist() for sel in (slice(4, 8), [5, 7], [2, 3], [3], slice(1, 8, 2))
+    )
     th = thetas.tolist()
     return CountsRecord(
         n_trials=total,
@@ -591,10 +618,12 @@ def simulate_link_pairs(
 
     def part(trials: np.ndarray, u: np.ndarray) -> np.ndarray:
         heralded, click_a, click_b = _pair_batch(proto, u)
-        return np.bincount(2 * click_a[heralded] + click_b[heralded], minlength=4)
+        # cell 1 + 2 i + j of a herald with channel clicks (i, j), cell 0 of no herald
+        cell = (2 * click_a.view(np.uint8) + click_b.view(np.uint8) + 1) * heralded
+        return np.bincount(cell, minlength=5)
 
     # channel a is arm a (node_l): index i of p_ij
-    n00, n01, n10, n11 = _tally(proto, seed, STREAM_PAIRS, trials, chunk_size, part).tolist()
+    n00, n01, n10, n11 = _tally(proto, seed, STREAM_PAIRS, trials, chunk_size, part)[1:].tolist()
     return CountsRecord(
         pair_trials=trials, pair_heralds=n00 + n01 + n10 + n11, pij_counts=PairCounts(n00, n01, n10, n11)
     )
@@ -610,7 +639,7 @@ def simulate_link_correlation(
 
     def part(trials: np.ndarray, u: np.ndarray) -> np.ndarray:
         channels = _correlation_batch(proto, u)
-        return np.array([(s.sum(), a.sum(), (s & a).sum()) for s, a in channels], dtype=np.int64)
+        return np.array([[np.count_nonzero(f) for f in (s, a, s & a)] for s, a in channels], dtype=np.int64)
 
     # per channel: stokes, anti-stokes, coincidence
     sums = _tally(proto, seed, STREAM_CORRELATION, trials, chunk_size, part)
