@@ -34,6 +34,9 @@ chunk size, and the engine runs on the calling thread.
 A block of candidates is column-major: each word column is contiguous, so
 the conditioning and the kernels read whole columns at unit stride. The
 layout is in memory only: every word keeps its value in the stream order.
+The kernels read an arm's pair number as two slot masks (slot 0 holds a
+pair when n > 0, slot 1 when n > 1), evaluate the fringe phase on the
+coherent rows alone, and tally a block with one ``bincount`` of a cell code.
 
 Three measurement modes mirror the three detector configurations of the
 experiment, one ``simulate_link_*`` function each:
@@ -203,16 +206,13 @@ class _ScreenLaw:
         Screen word j is rewritten only in the rows whose first live column
         J is at least j: past J its region is [0, 1), where 0 + u 1 is u and
         the guard 1 - 2^-53 never binds, so the drawn word is its own image.
-        Words 0 and 1 are rewritten as whole columns for that reason, and
-        words 2-5 on the rows with J >= 2 alone.
+        So words 0 and 1 are rewritten whole, and words 2-5 on the rows with J >= 2.
         """
         # u q at or above q would pick a column past the last one of positive weight
         u = np.minimum(block[:, _WORD_FIRST] * self.q, np.nextafter(self.q, 0.0))
         # J counts cum[:-1] at or below u, which is searchsorted(cum, u, "right") as u <= nextafter(q, 0) < q = cum[-1]
-        first = np.zeros(len(u), dtype=np.uint8)
-        for c in self.cum[:-1]:
-            first += (u >= c).view(np.uint8)
-        first = first.astype(np.intp)
+        # summed in uint8 and cast once, cheaper than an intp sum
+        first = sum((u >= c).view(np.uint8) for c in self.cum[:-1]).astype(np.intp)
         late = np.flatnonzero(first >= 2)
         for j, col in enumerate(_BLOCK_SCREENS):
             rows = late if j >= 2 else slice(None)
@@ -236,9 +236,8 @@ def _screen_law(proto: _Protocol) -> _ScreenLaw:
     cum = np.cumsum(width * np.cumprod(np.concatenate(([1.0], 1.0 - width[:-1]))))
     first, j = np.indices((len(_SCREEN_COLS),) * 2)  # [J, j]: screen word j when J is the first live one
     region = np.where((j < first)[..., None], dead, np.where((j == first)[..., None], live, [0.0, 1.0]))
-    # column-major, so that each screen word's tables are contiguous: a gather from a strided table costs twice as much
-    lo, hi = np.asfortranarray(region[..., 0]), np.asfortranarray(region[..., 1])
-    return _ScreenLaw(float(cum[-1]), cum, lo, hi, np.asfortranarray(hi - lo), np.asfortranarray(np.nextafter(hi, lo)))
+    lo, hi = region[..., 0], region[..., 1]
+    return _ScreenLaw(float(cum[-1]), cum, lo, hi, hi - lo, np.nextafter(hi, lo))
 
 
 def _tally(
@@ -351,41 +350,26 @@ def _lorentzian(sigma: float, u: np.ndarray) -> np.ndarray:
     return sigma * np.tan(np.pi * (u - 0.5))
 
 
-def _slots(arm: _Arm, u: np.ndarray):
-    """One arm's filled pair slots: slot 0 holds a pair when n > 0, slot 1 when n > 1.
+def _slots(proto: _Protocol, u: np.ndarray):
+    """Each arm's slot masks: slot 0 holds a pair when n > 0 (pair-number word >= P(n = 0)), slot 1 when n > 1."""
+    return [(u[:, arm.cols.n] >= arm.p0, u[:, arm.cols.n] >= arm.p1) for arm in proto.arms]
 
-    n > 0 is its pair-number word at or above P(n = 0), and n > 1 the word
-    at or above P(n <= 1); as P(n <= 1) >= P(n = 0), slot 1 is filled only
-    with slot 0.
+
+def _stokes(arm: _Arm, slots, u: np.ndarray, port: float) -> np.ndarray:
+    """Whether a filled slot's Stokes word is below ``port``: eta/2 for port 1 of the splitter, eta for either port.
+
+    Unmixed, a word below eta clicks the arm's one detector (threshold detectors throughout).
     """
-    u_n = u[:, arm.cols.n]
-    return u_n >= arm.p0, u_n >= arm.p1
-
-
-def _stokes(arm: _Arm, slots, u: np.ndarray, hi: float, lo: float = 0.0) -> np.ndarray:
-    """Whether a filled slot's Stokes word lies in [lo, hi): a click at the port of that range (threshold detectors).
-
-    Behind the 50/50 splitter port 1 is [0, eta/2) and port 2 [eta/2, eta);
-    unmixed, the arm's one detector is [0, eta).
-    """
-    click = np.zeros(len(u), dtype=bool)
-    for filled, col in zip(slots, arm.cols.stokes):
-        w = u[:, col]
-        hit = filled & (w < hi)
-        if lo:
-            hit &= w >= lo
-        click |= hit
-    return click
+    (filled_0, filled_1), (col_0, col_1) = slots, arm.cols.stokes
+    return filled_0 & (u[:, col_0] < port) | filled_1 & (u[:, col_1] < port)
 
 
 def _anti_stokes(arm: _Arm, slots, u: np.ndarray, port: float) -> np.ndarray:
     """One arm's anti-Stokes clicks through a detector port of probability ``port`` (eta, or eta/2 mixed).
 
-    A retrieved photon (per filled slot, retrieval uniform below gamma)
-    clicks when its port uniform is below ``port``, a noise photon when its
-    uniform is below its emission probability times ``port``. ``slots``
-    are the slots whose retrieved photons click this way; the noise
-    channels always count.
+    A retrieved photon (per filled slot of ``slots``, retrieval uniform
+    below gamma) clicks when its port uniform is below ``port``, a noise
+    photon when its uniform is below its emission probability times ``port``.
     """
     cols = arm.cols
     click = (u[:, cols.se] < arm.se_noise * port) | (u[:, cols.bg] < arm.z_noise * port)
@@ -395,24 +379,23 @@ def _anti_stokes(arm: _Arm, slots, u: np.ndarray, port: float) -> np.ndarray:
 
 
 def _fringe_batch(proto: _Protocol, theta: np.ndarray, u: np.ndarray):
-    """Interference-mode trials; returns the Stokes port flags and D_aS1 clicks.
-
-    The fringe phase, and with it the Lorentzian fields, the jitter and the
-    cosine, is evaluated on the coherent rows alone, from their own words.
-    """
+    """Interference-mode trials: D_S1 and D_S2-only heralds and D_aS1 clicks; the phase is read on coherent rows."""
     a, b = proto.arms
     eta = a.eta  # equal in both arms, checked once per run by _protocol
     half = 0.5 * eta
-    slots = [_slots(arm, u) for arm in proto.arms]
-    s1 = _stokes(a, slots[0], u, half) | _stokes(b, slots[1], u, half)
-    s2 = _stokes(a, slots[0], u, eta, half) | _stokes(b, slots[1], u, eta, half)
+    slots_a, slots_b = _slots(proto, u)
+    s1 = _stokes(a, slots_a, u, half) | _stokes(b, slots_b, u, half)
+    heralded = _stokes(a, slots_a, u, eta) | _stokes(b, slots_b, u, eta)  # a click at either port
+    # D_S2-only heralds give the phase-flipped fringe; kept disjoint from
+    # the primary D_S1 heralds so that the two estimates are independent
+    s2 = heralded & ~s1
 
     # only a heralded single excitation is projected onto the two-arm
     # superposition and interferes with itself; an unheralded one sits in a
     # definite arm and splits incoherently like every other photon. One pair
     # in all (n_a + n_b = 1) is slot 0 filled in exactly one arm and slot 1 in none.
-    (e0_a, e1_a), (e0_b, e1_b) = slots
-    coherent = (s1 | s2) & (e0_a ^ e0_b) & ~(e1_a | e1_b)
+    (e0_a, e1_a), (e0_b, e1_b) = slots_a, slots_b
+    coherent = heralded & (e0_a ^ e0_b) & ~(e1_a | e1_b)
     rows = np.flatnonzero(coherent)
 
     # Lorentzian field offsets from each arm's field word; one shared draw when wired in series
@@ -426,8 +409,7 @@ def _fringe_batch(proto: _Protocol, theta: np.ndarray, u: np.ndarray):
         phase = phase + proto.jitter_rms * ndtri(u[:, _COL_JITTER][rows])
 
     sign = np.where(s1[rows], 1.0, -1.0)
-    w_a = a.chi * a.gamma
-    w_b = b.chi * b.gamma
+    w_a, w_b = a.chi * a.gamma, b.chi * b.gamma
     w_sum = max(a.chi + b.chi, np.finfo(float).tiny)
     base = w_a + w_b
     cross = 2.0 * proto.contrast * math.sqrt(w_a * w_b)
@@ -442,22 +424,18 @@ def _fringe_batch(proto: _Protocol, theta: np.ndarray, u: np.ndarray):
 
 def _pair_batch(proto: _Protocol, u: np.ndarray):
     """Pair-count mode: mixed Stokes herald (D_S1 alone), per-channel anti-Stokes clicks."""
-    herald, clicks = False, []
-    for arm in proto.arms:
-        slots = _slots(arm, u)
-        herald = herald | _stokes(arm, slots, u, 0.5 * arm.eta)
-        clicks.append(_anti_stokes(arm, slots, u, arm.eta))
-    return herald, *clicks
+    (a, b), (slots_a, slots_b) = proto.arms, _slots(proto, u)
+    herald = _stokes(a, slots_a, u, 0.5 * a.eta) | _stokes(b, slots_b, u, 0.5 * b.eta)
+    return herald, _anti_stokes(a, slots_a, u, a.eta), _anti_stokes(b, slots_b, u, b.eta)
 
 
 def _correlation_batch(proto: _Protocol, u: np.ndarray):
     """Correlation mode: per-channel Stokes and anti-Stokes clicks."""
-    out = []
-    for arm in proto.arms:
-        slots = _slots(arm, u)
-        # unmixed, a channel's Stokes click is either port's: u < eta
-        out.append((_stokes(arm, slots, u, arm.eta), _anti_stokes(arm, slots, u, arm.eta)))
-    return out
+    # unmixed, a channel's Stokes click is either port's: u < eta
+    return [
+        (_stokes(arm, slots, u, arm.eta), _anti_stokes(arm, slots, u, arm.eta))
+        for arm, slots in zip(proto.arms, _slots(proto, u))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -587,22 +565,19 @@ def simulate_link_fringe(
     def part(trials: np.ndarray, u: np.ndarray) -> np.ndarray:
         idx = trials // trials_per_theta
         s1, s2, c1 = _fringe_batch(proto, thetas[idx], u)
-        # cell 4 s1 + 2 s2 + c1 of the row's bin
-        cell = (s1.view(np.uint8) << 2) | (s2.view(np.uint8) << 1) | c1.view(np.uint8)
-        return np.bincount(idx * 8 + cell, minlength=8 * theta_points)
+        # cell 6 bin + 2 herald + c1, the herald 0 (none), 1 (D_S1) or 2 (D_S2 only)
+        cell = c1.view(np.uint8) | s1.view(np.uint8) << 1 | s2.view(np.uint8) << 2
+        return np.bincount(idx * 6 + cell, minlength=6 * theta_points)
 
-    cells = _tally(proto, seed, STREAM_FRINGE, total, chunk_size, part).reshape(theta_points, 8)
-    # per bin: D_S1 heralds and their coincidences; D_S2-only heralds, kept
-    # disjoint from the primary D_S1 tallies so that the two estimates are
-    # independent (the phase-flipped fringe), and theirs; all D_aS1 clicks
-    her, coin, her_alt, coin_alt, as1 = (
-        cells[:, sel].sum(axis=1).tolist() for sel in (slice(4, 8), [5, 7], [2, 3], [3], slice(1, 8, 2))
-    )
+    # [bin, herald, D_aS1 click]: per bin, D_S1 and D_S2-only heralds and their coincidences
+    cells = _tally(proto, seed, STREAM_FRINGE, total, chunk_size, part).reshape(theta_points, 3, 2)
+    her, her_alt = cells[:, 1:].sum(axis=2).T.tolist()
+    coin, coin_alt = cells[:, 1:, 1].T.tolist()
     th = thetas.tolist()
     return CountsRecord(
         n_trials=total,
         n_heralds=sum(her),
-        n_as1_clicks=sum(as1),
+        n_as1_clicks=int(cells[:, :, 1].sum()),
         theta_bins=list(map(ThetaBin, th, coin, her)),
         theta_bins_alt=list(map(ThetaBin, th, coin_alt, her_alt)),
     )
@@ -623,10 +598,8 @@ def simulate_link_pairs(
         return np.bincount(cell, minlength=5)
 
     # channel a is arm a (node_l): index i of p_ij
-    n00, n01, n10, n11 = _tally(proto, seed, STREAM_PAIRS, trials, chunk_size, part)[1:].tolist()
-    return CountsRecord(
-        pair_trials=trials, pair_heralds=n00 + n01 + n10 + n11, pij_counts=PairCounts(n00, n01, n10, n11)
-    )
+    pij = PairCounts(*_tally(proto, seed, STREAM_PAIRS, trials, chunk_size, part)[1:].tolist())
+    return CountsRecord(pair_trials=trials, pair_heralds=pij.total, pij_counts=pij)
 
 
 def simulate_link_correlation(
@@ -642,11 +615,8 @@ def simulate_link_correlation(
         return np.array([[np.count_nonzero(f) for f in (s, a, s & a)] for s, a in channels], dtype=np.int64)
 
     # per channel: stokes, anti-stokes, coincidence
-    sums = _tally(proto, seed, STREAM_CORRELATION, trials, chunk_size, part)
-    return CountsRecord(
-        correlation_trials=trials,
-        correlation=tuple(ChannelTallies(trials, *row) for row in sums.tolist()),
-    )
+    sums = _tally(proto, seed, STREAM_CORRELATION, trials, chunk_size, part).tolist()
+    return CountsRecord(correlation_trials=trials, correlation=tuple(ChannelTallies(trials, *row) for row in sums))
 
 
 # ---------------------------------------------------------------------------

@@ -90,37 +90,73 @@ def test_closed_form_subcommands_start_no_thread(closed_form_run):
 BLOCK_BYTES = 1_572_864
 
 
-@pytest.fixture(scope="module")
-def engine_run() -> dict:
-    """Peak memory growth, live threads and loaded modules around a pair run of 3 x 2^20 trials in a fresh interpreter.
+def engine_footprint(call: str) -> dict:
+    """Peak memory growth, live threads and loaded modules around ``call`` on the chi = 3% link in a fresh interpreter.
 
-    At chi = 3% about 6% of the trials are candidates, so the run draws
-    about 24 blocks. A small run first keeps one-time costs of the
-    first call out of the growth.
+    ``call`` is a driver call with ``{trials}`` in place of its budget. A
+    run of 1000 trials first keeps the one-time costs of the first call
+    out of the growth.
     """
-    code = """
+    code = f"""
 import json, resource, sys, threading
 from dlcz_link import stochastic as st
 from dlcz_link.config import config_from_dict
 
-link = config_from_dict({"link": {"chi": 0.03}}).link
-st.simulate_link_pairs(link, 0.01, trials=1000, seed=1)
+link = config_from_dict({{"link": {{"chi": 0.03}}}}).link
+{call.format(trials=1000)}
 threads = threading.active_count()
 base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-st.simulate_link_pairs(link, 0.01, trials=3 << 20, seed=1, chunk_size=1 << 20)
+{call.format(trials="3 << 20")}
 grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base
-print(json.dumps({"grown": grown, "threads": [threads, threading.active_count()], "modules": sorted(sys.modules)}))
+print(json.dumps({{"grown": grown, "threads": [threads, threading.active_count()], "modules": sorted(sys.modules)}}))
 """
     return json.loads(run_python(code))
 
 
-def test_drivers_hold_one_uniform_chunk_at_a_time(engine_run):
+@pytest.fixture(scope="module")
+def engine_run() -> dict:
+    """The footprint of a pair run of 3 x 2^20 trials.
+
+    At chi = 3% about 6% of the trials are candidates, so the run draws
+    about 24 blocks.
+    """
+    return engine_footprint("st.simulate_link_pairs(link, 0.01, trials={trials}, seed=1, chunk_size=1 << 20)")
+
+
+@pytest.fixture(scope="module")
+def fringe_run() -> dict:
+    """The footprint of a fringe run of 3 x 2^20 trials without phase jitter, over the default 12 bins."""
+    return engine_footprint(
+        "st.simulate_link_fringe(link, 0.01, trials_per_theta=({trials}) // 12, seed=1, chunk_size=1 << 20)"
+    )
+
+
+def assert_one_block(run: dict) -> None:
     # ru_maxrss is in kB on Linux and in bytes on macOS
-    grown = engine_run["grown"] * (1 if sys.platform == "darwin" else 1024)
+    grown = run["grown"] * (1 if sys.platform == "darwin" else 1024)
     assert grown < 1.5 * BLOCK_BYTES, f"peak grew by {grown / BLOCK_BYTES:.2f} blocks"
+
+
+def test_drivers_hold_one_uniform_chunk_at_a_time(engine_run):
+    assert_one_block(engine_run)
+
+
+def test_fringe_run_holds_one_uniform_chunk_at_a_time(fringe_run):
+    # the fringe kernel's phase temporaries cover its coherent rows only
+    assert_one_block(fringe_run)
 
 
 def test_engine_starts_no_thread(engine_run):
     # every stage of the engine runs on the calling thread
     assert engine_run["threads"] == [1, 1]
     assert "concurrent.futures" not in engine_run["modules"]
+
+
+def test_fringe_run_starts_no_thread(fringe_run):
+    assert fringe_run["threads"] == [1, 1]
+    assert "concurrent.futures" not in fringe_run["modules"]
+
+
+def test_unjittered_fringe_run_loads_no_scipy(fringe_run):
+    # scipy.special's ndtri is imported only for a jitter_rms > 0
+    assert scipy_modules(fringe_run["modules"]) == []

@@ -674,6 +674,20 @@ class TestClickThresholds:
         np.testing.assert_array_equal(c1, [False, True])
         np.testing.assert_array_equal(click_a, [True, True])
 
+    @pytest.mark.parametrize("pairs", [{"a": 2}, {"a": 1, "b": 1}])
+    def test_heralded_two_pairs_are_incoherent(self, proto, pairs):
+        # two pairs behind a D_S1 click are not the single-excitation
+        # superposition: fringe mode reads the retrieved photon's port word
+        # and ignores the coherent word
+        c = self.COLS["a"]
+        cell = {self.COLS[arm]["n"]: self.PAIRS[n] for arm, n in pairs.items()}
+        cell |= {c["stokes"][0]: 0.0, c["retrieve"][0]: 0.0}
+        u = self.rows([{**cell, c["port"][0]: port, st._COL_COHERENT: coh} for port, coh in ((0.0, 0.99), (0.99, 0.0))])
+        (s1, _, c1), herald, _, _ = self.kernels(proto, u)
+        np.testing.assert_array_equal(s1, [True, True])
+        np.testing.assert_array_equal(herald, [True, True])
+        np.testing.assert_array_equal(c1, [True, False])
+
 
 class TestSingleEnsembleTrial:
     def test_matched_pairing_immune_to_field_noise(self, measured_pair):
