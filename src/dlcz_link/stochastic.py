@@ -35,8 +35,8 @@ A block of candidates is column-major: each word column is contiguous, so
 the conditioning and the kernels read whole columns at unit stride. The
 layout is in memory only: every word keeps its value in the stream order.
 The kernels read an arm's pair number as two slot masks (slot 0 holds a
-pair when n > 0, slot 1 when n > 1), evaluate the fringe phase on the
-coherent rows alone, and tally a block with one ``bincount`` of a cell code.
+pair when n > 0, slot 1 when n > 1) and evaluate the fringe phase on the
+coherent rows alone; fringe and pair tallies are one ``bincount`` of a cell code.
 
 Three measurement modes mirror the three detector configurations of the
 experiment, one ``simulate_link_*`` function each:

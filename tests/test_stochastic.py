@@ -674,7 +674,7 @@ class TestClickThresholds:
         np.testing.assert_array_equal(c1, [False, True])
         np.testing.assert_array_equal(click_a, [True, True])
 
-    @pytest.mark.parametrize("pairs", [{"a": 2}, {"a": 1, "b": 1}])
+    @pytest.mark.parametrize("pairs", [{"a": 2}, {"a": 1, "b": 1}], ids=["n_a=2", "n_a=n_b=1"])
     def test_heralded_two_pairs_are_incoherent(self, proto, pairs):
         # two pairs behind a D_S1 click are not the single-excitation
         # superposition: fringe mode reads the retrieved photon's port word
