@@ -78,7 +78,7 @@ def record_digests() -> dict[str, str]:
         "link": (config_from_dict({"link": BRIGHT}).link, 0.01),
         # the Gaussian phase jitter, and the two-pair rows of both arms
         "jittered": (config_from_dict({"link": {**BRIGHT, "residual_phase_jitter": 0.3}}).link, 0.01),
-        "bright": (config_from_dict({"link": {**BRIGHT, "chi": 0.3}}).link, 0.01),
+        "doubles": (config_from_dict({"link": {**BRIGHT, "chi": 0.3}}).link, 0.01),
         "mixed": (config_from_dict({"single_ensemble": BRIGHT}).mode_pair, 30e-6),
         "matched": (config_from_dict({"single_ensemble": MATCHED}).mode_pair, 30e-6),
     }
@@ -100,7 +100,7 @@ def test_cli_output_matches_golden(name, tmp_path):
     assert cli_output(name, tmp_path) == (GOLDEN / name).read_bytes()
 
 
-# the bright link leaves the closed form's chi << 1 regime on purpose
+# the doubles link leaves the closed form's chi << 1 regime on purpose
 @pytest.mark.filterwarnings("ignore:chi = .* is outside:UserWarning")
 def test_engine_records_match_golden():
     assert record_digests() == json.loads((GOLDEN / "records.json").read_text())
